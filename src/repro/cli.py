@@ -125,10 +125,17 @@ class _ProgressReporter:
             print(file=sys.stderr)
 
 
+class UsageError(Exception):
+    """A bad command-line value; :func:`main` reports it in one line."""
+
+
 def _build(args) -> "object":
-    return build_ecosystem(
-        EcosystemConfig(population=args.population, seed=args.seed)
-    )
+    try:
+        return build_ecosystem(
+            EcosystemConfig(population=args.population, seed=args.seed)
+        )
+    except ValueError as exc:  # bad seed, too small a population
+        raise UsageError(str(exc)) from None
 
 
 def cmd_scan(args) -> int:
@@ -855,6 +862,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.verbosity = _configure_logging(args)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Piped into `head` and the reader went away: not an error.
         # Point stdout at /dev/null so interpreter shutdown doesn't

@@ -19,6 +19,7 @@ consequences the measurement study infers from the outside.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from typing import Optional
@@ -76,6 +77,14 @@ class EcosystemConfig:
     multi_ip_fraction: float = 0.08    # independents with two A records
     lb_jitter_fraction: float = 0.05   # ticket domains with unsynced STEKs
     blacklist_fraction: float = 0.004  # institutional do-not-scan list
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.rsa_bits < 64:
+            raise ValueError(f"rsa_bits must be >= 64, got {self.rsa_bits}")
+        if self.key_pool_size < 1:
+            raise ValueError(f"key_pool_size must be >= 1, got {self.key_pool_size}")
 
 
 @dataclass
@@ -275,6 +284,23 @@ class Ecosystem:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _pki_keys(seed: int, bits: int, pool_size: int) -> tuple[rsa.RSAPrivateKey, ...]:
+    """The simulated PKI's RSA keys: CA 1, CA 2, Shady CA, then the pool.
+
+    Key generation is most of an ecosystem build at study scale, and
+    the keys depend only on these three knobs: they come from the
+    ``"keys"`` fork of the root generator, which nothing else draws
+    from (forking never advances the parent).  Caching them per process
+    lets a sharded study rebuild its ecosystem once per shard without
+    paying for the PKI again.  This is deliberately not a registered
+    process cache: clearing it per shard would only add cost, and it
+    keeps no counters, so merged metrics cannot depend on it.
+    """
+    rng = DeterministicRandom(seed).fork("keys")
+    return tuple(rsa.generate_keypair(bits, rng) for _ in range(3 + pool_size))
+
+
 class _Builder:
     """Assembles an :class:`Ecosystem` from an :class:`EcosystemConfig`."""
 
@@ -282,7 +308,6 @@ class _Builder:
         self.config = config
         self.clock = SimClock(0.0)
         root = DeterministicRandom(config.seed)
-        self.rng_keys = root.fork("keys")
         self.rng_behavior = root.fork("behavior")
         self.rng_network = root.fork("network")
         self.rng_servers = root.fork("servers")
@@ -303,22 +328,17 @@ class _Builder:
 
         # Simulated CAs.  Key pooling (many certificates share an RSA
         # key) is a documented speed substitution: no analysis in the
-        # study uses the server key as a grouping signal.
+        # study uses the server key as a grouping signal.  The keys are
+        # shared across builds (see _pki_keys); the CAs are not, since
+        # each carries a mutable serial counter.
+        keys = _pki_keys(config.seed, config.rsa_bits, config.key_pool_size)
         self.cas = [
-            CertificateAuthority(
-                f"Repro Root CA {i + 1}", rsa.generate_keypair(config.rsa_bits, self.rng_keys)
-            )
-            for i in range(2)
+            CertificateAuthority(f"Repro Root CA {i + 1}", keys[i]) for i in range(2)
         ]
         for ca in self.cas:
             self.trust_store.add_root(ca.name, ca.public_key)
-        self.untrusted_ca = CertificateAuthority(
-            "Shady CA", rsa.generate_keypair(config.rsa_bits, self.rng_keys)
-        )
-        self.key_pool = [
-            rsa.generate_keypair(config.rsa_bits, self.rng_keys)
-            for _ in range(config.key_pool_size)
-        ]
+        self.untrusted_ca = CertificateAuthority("Shady CA", keys[2])
+        self.key_pool = keys[3:]
         self._key_cursor = 0
 
     # -- small helpers ---------------------------------------------------

@@ -1,10 +1,16 @@
 """Ecosystem builder and dynamics tests."""
 
+import hashlib
+
 import pytest
 
+from repro.crypto import rsa
 from repro.hosting import EcosystemConfig, build_ecosystem
+from repro.hosting.ecosystem import _Builder, _pki_keys
 from repro.hosting.notable import NOTABLE_DOMAINS
 from repro.netsim.clock import DAY
+from repro.obs.metrics import METRICS, reset_process_caches
+from repro.scanner import StudyConfig, run_study_with_stats
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +187,99 @@ def test_population_too_small_rejected():
 def test_time_cannot_go_backwards(eco):
     with pytest.raises(ValueError):
         eco.advance_to(eco.clock.now() - 1)
+
+
+# -- the per-process PKI key cache ---------------------------------------
+
+
+def test_rejects_unusable_configs():
+    with pytest.raises(ValueError, match="seed"):
+        EcosystemConfig(seed=-1)
+    with pytest.raises(ValueError, match="rsa_bits"):
+        EcosystemConfig(rsa_bits=32)
+    with pytest.raises(ValueError, match="key_pool_size"):
+        EcosystemConfig(key_pool_size=0)
+
+
+def test_builds_share_keys_but_not_cas():
+    config = EcosystemConfig(population=320, seed=7)
+    first, second = _Builder(config), _Builder(config)
+    assert all(a is b for a, b in zip(first.key_pool, second.key_pool))
+    for ca_a, ca_b in zip(first.cas + [first.untrusted_ca],
+                          second.cas + [second.untrusted_ca]):
+        assert ca_a is not ca_b
+        assert ca_a.private_key is ca_b.private_key
+    assert first.trust_store is not second.trust_store
+
+    certs = [d.certificate for d in build_ecosystem(config).domains]
+    assert certs == [d.certificate for d in build_ecosystem(config).domains]
+    # Each build mints its serials from 1: the CAs were not shared.
+    issued = [c for c in certs if c is not None]
+    for issuer in {c.data.issuer for c in issued}:
+        assert min(c.data.serial for c in issued if c.data.issuer == issuer) == 1
+
+
+def test_key_cache_is_keyed_on_seed_bits_and_pool_size():
+    base = _pki_keys(5, 128, 2)
+    assert _pki_keys(5, 128, 2) is base
+    assert _pki_keys(6, 128, 2)[0].n != base[0].n
+    assert _pki_keys(5, 192, 2)[0].n != base[0].n
+    larger = _pki_keys(5, 128, 3)
+    assert larger is not base and len(larger) == len(base) + 1
+    # One generator stream, drawn in order: a larger pool only appends.
+    assert [k.n for k in larger[:len(base)]] == [k.n for k in base]
+
+
+def test_key_cache_survives_process_cache_reset():
+    keys = _pki_keys(5, 128, 2)
+    reset_process_caches()
+    assert _pki_keys(5, 128, 2) is keys
+
+
+def test_warm_build_adds_no_metrics_series():
+    config = EcosystemConfig(population=320, seed=11)
+    build_ecosystem(config)  # fills the key cache
+    before = METRICS.snapshot()
+    build_ecosystem(config)
+    assert METRICS.snapshot() == before
+
+
+def _tiny_study() -> StudyConfig:
+    return StudyConfig(
+        days=2, seed=404, run_probes=False, run_crossdomain=False,
+        run_support_scans=False,
+    )
+
+
+def test_sharded_study_generates_the_pki_once(monkeypatch):
+    real = rsa.generate_keypair
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rsa, "generate_keypair", counting)
+    _pki_keys.cache_clear()
+    config = EcosystemConfig(population=320, seed=13)
+    run_study_with_stats(build_ecosystem(config), _tiny_study(), shards=4, workers=1)
+    assert len(calls) == 3 + config.key_pool_size  # 51, not 5 builds x 51
+
+
+def test_cold_and_warm_key_cache_give_identical_studies(tmp_path):
+    ecosystem = build_ecosystem(EcosystemConfig(population=320, seed=17))
+    digests = {}
+    for workers in (1, 2):
+        for state in ("cold", "warm"):
+            if state == "cold":
+                _pki_keys.cache_clear()
+            stream = tmp_path / f"{state}-{workers}"
+            run_study_with_stats(
+                ecosystem, _tiny_study(), shards=2, workers=workers,
+                stream_dir=str(stream),
+            )
+            digests[state, workers] = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in stream.iterdir()
+            }
+    assert all(files == digests["cold", 1] for files in digests.values()), digests

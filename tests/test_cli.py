@@ -177,6 +177,47 @@ def test_study_rejects_telemetry_dir_equal_to_out(tmp_path, capsys):
     assert "must not be the dataset" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_one_line_usage_error(tmp_path, capsys):
+    code = main(["study", "--days", "2", "--out", str(tmp_path / "o"),
+                 "--population", "420", "--seed", "-3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "repro: error: seed must be >= 0, got -3\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_too_small_population_is_a_one_line_usage_error(capsys):
+    assert main(["scan", "yahoo.com", "--population", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: population 50 too small")
+    assert err.count("\n") == 1
+
+
+def test_resume_with_empty_key_pool_exits_2(tmp_path, capsys):
+    """A checkpoint naming key_pool_size=0 is refused, not a traceback."""
+    from repro.hosting import EcosystemConfig
+    from repro.scanner import CheckpointStore, StudyConfig
+    from repro.scanner.checkpoint import checkpoint_fingerprint
+
+    stream = str(tmp_path / "stream")
+    config = StudyConfig(
+        days=2, probe_domain_count=40, dhe_support_day=1,
+        ecdhe_support_day=1, ticket_support_day=1, crossdomain_day=1,
+        session_probe_day=1, ticket_probe_day=1, shards=2,
+    )
+    fingerprint = checkpoint_fingerprint(
+        config, EcosystemConfig(population=420, seed=3), 2
+    )
+    fingerprint["ecosystem"]["key_pool_size"] = 0
+    CheckpointStore(stream).reset(fingerprint)
+
+    code = main(["study", "--resume", stream, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "key_pool_size must be >= 1, got 0" in err
+    assert err.count("\n") == 1
+
+
 # --- chaos, retries, and resume -----------------------------------------
 
 
