@@ -6,7 +6,8 @@ tracks two layers on every PR:
 
 * **micro** — ops/sec of the primitives the scans lean on (AES blocks,
   ticket seal/open under one STEK, CBC, RSA-CRT signing, EC scalar
-  multiplication, full and abbreviated handshakes);
+  multiplication and P-256 keygen, record serialization, full and
+  abbreviated handshakes);
 * **e2e** — wall-clock and grabs/sec for a small reference study run
   end-to-end through the sharded scan engine, plus a ``scale_study``
   section that pushes a large daily-sweep-only population through the
@@ -44,6 +45,7 @@ from .crypto import ec, rsa
 from .crypto.aes import AES
 from .crypto.modes import cbc_decrypt, cbc_encrypt
 from .crypto.rng import DeterministicRandom
+from .scanner.records import ScanObservation
 from .tls.ciphers import MODERN_BROWSER_OFFER
 from .tls.client import TLSClient
 from .tls.constants import ProtocolVersion
@@ -179,6 +181,23 @@ def run_micro(seconds: float) -> dict:
             lambda: ec.scalar_mult(curve, scalar_rng.randrange(1, curve.n), point),
             seconds,
         )
+
+    # Per-primitive numbers for the two per-grab kernels of a sweep: a
+    # fresh server keypair (scalar draw + fixed-base d·G) and one
+    # record's JSONL line.
+    keygen_rng = DeterministicRandom("keygen")
+    results["ec_keygen_p256"] = _measure(
+        lambda: ec.generate_keypair(ec.P256, keygen_rng), seconds
+    )
+    record = ScanObservation(
+        domain="bench.example", day=3, timestamp=259_200.5, rank=42,
+        ip="10.0.0.1", success=True, error="", cipher=MODERN_BROWSER_OFFER[0].name,
+        kex_kind="ecdhe", forward_secret=True, cert_trusted=True, cert_error="",
+        session_id_set=True, resumed=True, resumed_via="ticket",
+        ticket_extension=True, ticket_issued=True, ticket_hint=300,
+        ticket_format="rfc5077", stek_id="ab" * 16, kex_public="04" + "cd" * 32,
+    )
+    results["record_to_json"] = _measure(record.to_json, seconds)
 
     server, client = _make_rig()
 

@@ -154,7 +154,7 @@ def _from_jacobian(curve: Curve, jac: tuple[int, int, int]) -> Point:
     x, y, z = jac
     if z == 0:
         return None
-    z_inv = pow(z, curve.p - 2, curve.p)
+    z_inv = pow(z, -1, curve.p)
     z_inv2 = z_inv * z_inv % curve.p
     return (x * z_inv2 % curve.p, y * z_inv2 * z_inv % curve.p)
 
@@ -206,6 +206,36 @@ def _jacobian_add(
     nx = (r * r - h3 - 2 * u1h2) % p
     ny = (r * (u1h2 - nx) - s1 * h3) % p
     nz = h * z1 * z2 % p
+    return (nx, ny, nz)
+
+
+def _jacobian_add_affine(
+    curve: Curve, a: tuple[int, int, int], b: Point
+) -> tuple[int, int, int]:
+    """``a + b`` for Jacobian ``a`` and affine ``b`` (mixed addition).
+
+    :func:`_jacobian_add` with ``z2 = 1``: ``u1 = x1`` and ``s1 = y1``,
+    so the ``z2²``, ``z2³``, ``u1`` and ``s1`` products disappear.
+    """
+    if b is None:
+        return a
+    if a[2] == 0:
+        return (b[0], b[1], 1)
+    p = curve.p
+    x1, y1, z1 = a
+    z1sq = z1 * z1 % p
+    h = (b[0] * z1sq - x1) % p
+    r = (b[1] * z1sq * z1 - y1) % p
+    if h == 0:
+        if r:
+            return (1, 1, 0)
+        return _jacobian_double(curve, a)
+    h2 = h * h % p
+    h3 = h2 * h % p
+    u1h2 = x1 * h2 % p
+    nx = (r * r - h3 - 2 * u1h2) % p
+    ny = (r * (u1h2 - nx) - y1 * h3) % p
+    nz = h * z1 % p
     return (nx, ny, nz)
 
 
@@ -290,19 +320,22 @@ def base_point(curve: Curve) -> Point:
 
 
 # 8-bit windows: ~32 additions per 256-bit keygen instead of ~60 at
-# the cost of a once-per-curve ~8k-addition table build.  The event-
-# driven scanner regenerates a server keypair per full handshake under
-# the paper's FRESH reuse policy, so base multiplication dominates its
-# remaining crypto budget.
+# the cost of a once-per-curve table build of ~8k additions and ~8k
+# inversions.  The event-driven scanner regenerates a server keypair
+# per full handshake under the paper's FRESH reuse policy, so base
+# multiplication dominates its remaining crypto budget.
 _FIXED_BASE_WINDOW = 8
-_fixed_base_tables: dict[str, list[list[tuple[int, int, int]]]] = {}
+_fixed_base_tables: dict[str, list[list[Point]]] = {}
 
 
-def _fixed_base_table(curve: Curve) -> list[list[tuple[int, int, int]]]:
-    """Precompute ``j * 16^i * G`` for windowed fixed-base multiplication.
+def _fixed_base_table(curve: Curve) -> list[list[Point]]:
+    """Precompute ``j * 256^i * G`` for windowed fixed-base multiplication.
 
     Built lazily once per curve; turns the millions of ``d·G`` keygens a
-    full ecosystem scan performs into ~``bits/4`` point additions each.
+    full ecosystem scan performs into ~``bits/8`` mixed additions each.
+    Rows are built in Jacobian coordinates, then stored affine (``None``
+    for an entry at infinity, possible only on tiny test curves) so
+    :func:`scalar_mult_base` can use the cheaper mixed addition.
     """
     table = _fixed_base_tables.get(curve.name)
     if table is not None:
@@ -314,7 +347,7 @@ def _fixed_base_table(curve: Curve) -> list[list[tuple[int, int, int]]]:
         row = [(1, 1, 0)]
         for j in range(1, 1 << _FIXED_BASE_WINDOW):
             row.append(_jacobian_add(curve, row[j - 1], row_base))
-        table.append(row)
+        table.append([_from_jacobian(curve, entry) for entry in row])
         row_base = row[1]
         for _ in range(_FIXED_BASE_WINDOW):
             row_base = _jacobian_double(curve, row_base)
@@ -333,7 +366,7 @@ def scalar_mult_base(curve: Curve, k: int) -> Point:
     while k:
         digit = k & ((1 << _FIXED_BASE_WINDOW) - 1)
         if digit:
-            result = _jacobian_add(curve, result, table[window][digit])
+            result = _jacobian_add_affine(curve, result, table[window][digit])
         k >>= _FIXED_BASE_WINDOW
         window += 1
     return _from_jacobian(curve, result)

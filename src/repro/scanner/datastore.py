@@ -33,12 +33,17 @@ import json
 import os
 import shutil
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .records import CHANNELS, ScanObservation, read_jsonl
 
 _INDEXED_FIELDS = ("domain", "day", "ip", "kex_kind", "stek_id", "cipher")
+
+#: Most lines :meth:`JsonlWriter.append_many` joins into one ``write``;
+#: bounds the joined string when a whole channel is saved at once.
+_WRITE_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +72,15 @@ class JsonlWriter:
         self.count += 1
 
     def append_many(self, records: Iterable) -> int:
+        """Append records with one ``write`` per batch (per
+        :data:`_WRITE_CHUNK` records for longer batches); the bytes equal
+        per-record :meth:`append` calls."""
         appended = 0
-        for record in records:
-            self.append(record)
-            appended += 1
+        records = iter(records)
+        while lines := [record.to_json() for record in islice(records, _WRITE_CHUNK)]:
+            self._fh.write("\n".join(lines) + "\n")
+            self.count += len(lines)
+            appended += len(lines)
         return appended
 
     def close(self) -> None:

@@ -11,10 +11,34 @@ simulation's ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
+#: One shared encoder: ``json.dumps(..., sort_keys=True)`` builds a new
+#: ``JSONEncoder`` per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
+
+def _json_record(cls: type) -> type:
+    """Give a flat record dataclass a fast ``to_json``.
+
+    Every record field is a JSON scalar (str, int, float, bool, None),
+    so a dict built straight from the attributes encodes to the same
+    bytes as ``json.dumps(dataclasses.asdict(record), sort_keys=True)``
+    without ``asdict``'s recursive deep copy.
+    """
+    names = tuple(f.name for f in fields(cls))
+    values = attrgetter(*names)
+
+    def to_json(self) -> str:
+        return _encode(dict(zip(names, values(self))))
+
+    cls.to_json = to_json
+    return cls
+
+
+@_json_record
 @dataclass
 class ScanObservation:
     """One TLS connection attempt's observable outcome."""
@@ -45,15 +69,13 @@ class ScanObservation:
     # Key-exchange reuse signal.
     kex_public: Optional[str] = None      # hex server (EC)DHE value
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
     def from_json(cls, line: str) -> "ScanObservation":
         data = json.loads(line)
         return cls(**data)
 
 
+@_json_record
 @dataclass
 class ResumptionProbeResult:
     """Outcome of one domain's 24-hour resumption-lifetime probe (§4.1/4.2)."""
@@ -69,14 +91,12 @@ class ResumptionProbeResult:
     ticket_hint: Optional[int] = None
     attempts: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
     def from_json(cls, line: str) -> "ResumptionProbeResult":
         return cls(**json.loads(line))
 
 
+@_json_record
 @dataclass
 class CrossDomainEdge:
     """Domain ``b`` accepted a session that originated at domain ``a``."""
@@ -85,9 +105,6 @@ class CrossDomainEdge:
     acceptor: str
     via_same_ip: bool = False
     via_same_as: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "CrossDomainEdge":

@@ -71,7 +71,7 @@ def test_scalar_mult_distributes():
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("curve", [ec.SECP128R1, ec.P256, ec.TINY], ids=lambda c: c.name)
+@pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
 def test_fixed_base_matches_generic(curve):
     rng = DeterministicRandom(77)
     for _ in range(10):
@@ -230,3 +230,101 @@ def test_shared_secret_memo_consistency():
     assert first == second
     direct = ec.scalar_mult(ec.SECP128R1, alice.private, bob.public)
     assert first == direct
+
+
+# --- affine fixed-base table and mixed addition ------------------------
+
+def test_fixed_base_exhaustive_on_tiny():
+    curve = ec.TINY
+    g = ec.base_point(curve)
+    for k in range(curve.n + 2):
+        assert ec.scalar_mult_base(curve, k) == ec.scalar_mult(curve, k, g)
+
+
+def _edge_scalars(curve):
+    window = ec._FIXED_BASE_WINDOW
+    windows = (curve.n.bit_length() + window - 1) // window
+    scalars = {0, 1, 2, curve.n - 1, curve.n, curve.n + 1}
+    for i in range(windows + 1):
+        scalars.add(256**i)
+        scalars.add(256**i - 1)
+    # Zero digits in inner windows: only the outer windows are set.
+    top = 256 ** (windows - 1)
+    scalars.update({top + 1, 255 * top + 255, top + 256, (top - 1) ^ 0xFF00})
+    return sorted(scalars)
+
+
+@pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
+def test_fixed_base_edge_scalars(curve):
+    g = ec.base_point(curve)
+    for k in _edge_scalars(curve):
+        assert ec.scalar_mult_base(curve, k) == ec.scalar_mult(curve, k, g), k
+
+
+@pytest.mark.parametrize("curve", ALL_CURVES, ids=lambda c: c.name)
+def test_fixed_base_table_is_affine_and_on_curve(curve):
+    table = ec._fixed_base_table(curve)
+    for row in table:
+        assert len(row) == 1 << ec._FIXED_BASE_WINDOW
+        assert row[0] is None
+        for entry in row:
+            assert entry is None or (
+                isinstance(entry, tuple) and len(entry) == 2
+                and ec.is_on_curve(curve, entry)
+            )
+
+
+def test_fixed_base_table_entries_on_tiny():
+    curve = ec.TINY
+    g = ec.base_point(curve)
+    for i, row in enumerate(ec._fixed_base_table(curve)):
+        for j, entry in enumerate(row):
+            assert entry == ec.scalar_mult(curve, j * 256**i, g)
+
+
+def _jacobian(curve, k):
+    """``k·G`` as a Jacobian triple with ``z != 1``."""
+    jac = ec._to_jacobian(ec.scalar_mult(curve, k, ec.base_point(curve)))
+    return ec._jacobian_double(curve, ec._jacobian_add(curve, jac, (1, 1, 0)))
+
+
+@pytest.mark.parametrize("curve", [ec.TINY, ec.SECP128R1, ec.P256], ids=lambda c: c.name)
+def test_mixed_add_general_case(curve):
+    a = _jacobian(curve, 5)  # 10·G
+    assert a[2] != 1
+    b = ec.scalar_mult(curve, 7, ec.base_point(curve))
+    mixed = ec._jacobian_add_affine(curve, a, b)
+    full = ec._jacobian_add(curve, a, ec._to_jacobian(b))
+    assert ec._from_jacobian(curve, mixed) == ec._from_jacobian(curve, full)
+    assert ec._from_jacobian(curve, mixed) == ec.scalar_mult(
+        curve, 17, ec.base_point(curve)
+    )
+
+
+@pytest.mark.parametrize("curve", [ec.TINY, ec.SECP128R1, ec.P256], ids=lambda c: c.name)
+def test_mixed_add_degenerate_branches(curve):
+    g = ec.base_point(curve)
+    p = ec.scalar_mult(curve, 10, g)
+    a = _jacobian(curve, 5)  # 10·G, z != 1
+    infinity = (1, 1, 0)
+    # infinity + P
+    assert ec._jacobian_add_affine(curve, infinity, p) == (p[0], p[1], 1)
+    # P + None (a table entry at infinity)
+    assert ec._jacobian_add_affine(curve, a, None) is a
+    assert ec._jacobian_add_affine(curve, infinity, None)[2] == 0
+    # P + P doubles
+    assert ec._from_jacobian(curve, ec._jacobian_add_affine(curve, a, p)) == (
+        ec.scalar_mult(curve, 20, g)
+    )
+    # P + (-P) is infinity
+    assert ec._jacobian_add_affine(curve, a, ec.point_neg(curve, p))[2] == 0
+
+
+@pytest.mark.parametrize("curve", [ec.TINY, ec.P256], ids=lambda c: c.name)
+def test_from_jacobian_normalizes_any_z(curve):
+    x, y = ec.scalar_mult(curve, 3, ec.base_point(curve))
+    for z in (1, 2, curve.p - 1, 12345):
+        z2 = z * z % curve.p
+        jac = (x * z2 % curve.p, y * z2 * z % curve.p, z)
+        assert ec._from_jacobian(curve, jac) == (x, y)
+    assert ec._from_jacobian(curve, (1, 1, 0)) is None

@@ -76,6 +76,14 @@ def test_tiny_curve_scalar_homomorphism(a, b):
     assert lhs == rhs
 
 
+@given(k=st.integers(min_value=0, max_value=2 * ec.P256.n))
+@settings(max_examples=40, deadline=None)
+def test_p256_fixed_base_matches_generic(k):
+    assert ec.scalar_mult_base(ec.P256, k) == ec.scalar_mult(
+        ec.P256, k, ec.base_point(ec.P256)
+    )
+
+
 @given(seed=st.integers(min_value=0, max_value=2**32), n=st.integers(min_value=0, max_value=128))
 @settings(max_examples=40, deadline=None)
 def test_rng_reproducibility(seed, n):
