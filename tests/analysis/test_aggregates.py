@@ -12,7 +12,7 @@ skip paths (failures, absent identifiers, untrusted certs):
 * **cache round-trip** — a partial state survives JSON serialization
   (the ``.analysis/`` cache) with dict insertion order intact.
 
-Comparisons run through :func:`canon`, which makes dict *order*
+Comparisons run through :func:`helpers.canon`, which makes dict *order*
 significant — plain ``==`` would accept reordered states that then
 render different report bytes.
 """
@@ -22,6 +22,7 @@ import json
 from dataclasses import asdict
 
 import pytest
+from helpers import canon
 
 from repro.analysis.aggregates import default_aggregates
 from repro.scanner.records import (
@@ -29,15 +30,6 @@ from repro.scanner.records import (
     ResumptionProbeResult,
     ScanObservation,
 )
-
-
-def canon(obj):
-    """Order-sensitive canonical form (dict order becomes list order)."""
-    if isinstance(obj, dict):
-        return [(key, canon(value)) for key, value in obj.items()]
-    if isinstance(obj, (list, tuple)):
-        return [canon(value) for value in obj]
-    return repr(obj)
 
 
 def _obs(i, day, kind, identifier, conn=0):

@@ -1,8 +1,9 @@
-"""Shared test helpers: compact TLS rigs and ecosystem builders."""
+"""Shared test helpers: compact TLS rigs, ecosystem builders, and an
+order-sensitive canonical form for analysis outputs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Optional
 
 from repro.crypto import dh, ec, rsa
@@ -103,3 +104,21 @@ def make_rig(
         stek_store=stek_store,
         session_cache=cache,
     )
+
+
+def canon(obj):
+    """Order-sensitive canonical form (dict order becomes list order).
+
+    Analysis outputs must match in dict *order*, not just content:
+    first-seen order breaks ties in the top-reuse tables.  Dataclasses
+    compare field by field; sets are unordered, so they are sorted.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return [type(obj).__name__, canon(vars(obj))]
+    if isinstance(obj, dict):
+        return [(key, canon(value)) for key, value in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return [canon(value) for value in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(canon(value) for value in obj)
+    return repr(obj)
