@@ -1,23 +1,22 @@
 """Streaming, parallel analysis over sharded JSONL datasets.
 
-The scan side of the pipeline has been streaming since PR 1; this
-package (PR 5) makes the *analysis* side match.  ``repro report`` and
-``repro audit`` run on an :class:`~repro.analysis.engine.AnalysisEngine`
-that chunks each channel file, folds raw record dicts into mergeable
-per-chunk partial states (:class:`~repro.analysis.aggregates.
-ShardAggregate`), caches the partials under ``<dataset>/.analysis/``,
-and merges them in deterministic order — producing byte-identical
-output to the old in-memory path while holding memory to O(one chunk).
+``repro report`` and ``repro audit`` run on an
+:class:`~repro.analysis.engine.AnalysisEngine` that chunks each channel
+file, folds raw record dicts into mergeable per-chunk partial states
+(:class:`~repro.core.aggregate.ShardAggregate`), caches the partials
+under ``<dataset>/.analysis/``, and merges them in deterministic order,
+holding memory to O(one chunk).  The aggregates are the same folds the
+in-memory ``repro.core`` estimators run, so the two agree exactly.
 
 Layered like the rest of the repo:
 
 * :mod:`repro.analysis.chunks`     — line-aligned byte-range planner;
-* :mod:`repro.analysis.aggregates` — the ShardAggregate protocol and
-  the per-table implementations;
+* :mod:`repro.analysis.aggregates` — the aggregate set behind the
+  report and audit tables;
 * :mod:`repro.analysis.engine`     — process-pool driver + partial
   cache + telemetry;
-* :mod:`repro.analysis.reports`    — report/audit input builders (one
-  legacy, one streaming) and the shared renderers.
+* :mod:`repro.analysis.reports`    — report/audit input builders and
+  renderers.
 """
 
 from .aggregates import (
@@ -42,12 +41,10 @@ from .reports import (
     AuditInputs,
     ReportInputs,
     audit_inputs_from_analysis,
-    audit_inputs_from_dataset,
     render_audit,
     render_events_provenance,
     render_report,
     report_inputs_from_analysis,
-    report_inputs_from_dataset,
 )
 
 __all__ = [
@@ -70,9 +67,7 @@ __all__ = [
     "CACHE_DIR_NAME",
     "ReportInputs",
     "AuditInputs",
-    "report_inputs_from_dataset",
     "report_inputs_from_analysis",
-    "audit_inputs_from_dataset",
     "audit_inputs_from_analysis",
     "render_report",
     "render_audit",

@@ -1,386 +1,26 @@
-"""ShardAggregate implementations: mergeable partial analysis states.
+"""The aggregate set behind ``repro report`` and ``repro audit``.
 
-Each aggregate consumes one or more JSONL channels and maintains a
-*partial state* that is
-
-* **foldable** — built incrementally from raw record dicts, one chunk
-  at a time, without constructing record dataclasses;
-* **associative** — ``merge(merge(a, b), c) == merge(a, merge(b, c))``
-  for chunk states ``a, b, c`` taken in stream order, mirroring the
-  shard-order determinism of :func:`repro.obs.metrics.merge_snapshots`;
-* **JSON-serializable** — partials round-trip through the
-  ``<dataset>/.analysis/`` cache with key order intact, because the
-  in-memory analysis path's output depends on dict insertion order
-  (first-seen order breaks ties in the top-reuse tables).
-
-Merging chunk partials left-to-right in file order therefore
-reproduces the exact dict insertion order a single in-memory pass
-would have produced — which is what makes the streamed ``repro
-report``/``repro audit`` byte-identical to the legacy path.
-
->>> agg = SpanAggregate("stek_spans", "ticket_daily", kind="stek")
->>> rows = [
-...     {"domain": "a.test", "day": 0, "success": True,
-...      "ticket_issued": True, "stek_id": "k1"},
-...     {"domain": "a.test", "day": 5, "success": True,
-...      "ticket_issued": True, "stek_id": "k1"},
-...     {"domain": "a.test", "day": 9, "success": False,
-...      "ticket_issued": True, "stek_id": "k1"},
-... ]
->>> left = agg.fold(agg.zero(), "ticket_daily", rows[:1])
->>> right = agg.fold(agg.zero(), "ticket_daily", rows[1:])
->>> spans = agg.finalize(agg.merge(left, right), {})
->>> spans["a.test"].max_span_days  # day 9 failed, so the span is 0..5
-5
+Each :class:`ShardAggregate` lives next to the estimator whose output
+it builds (:mod:`repro.core.spans`, :mod:`~repro.core.lifetimes`,
+:mod:`~repro.core.support`, :mod:`~repro.core.rotation`,
+:mod:`~repro.core.groups`) and is the only fold from scan records to
+that estimate; the protocol and its merge rules are documented in
+:mod:`repro.core.aggregate`.  This module gathers them under one name
+and declares which channels feed which report/audit output.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
-
-from ..core.groups import GroupingResult, groups_from_edges, groups_from_identifier_map
-from ..core.spans import DomainSpans, IdentifierSpan
-from ..netsim.clock import HOUR
-from ..scanner.records import CrossDomainEdge
-
-
-def _as_names(meta: dict) -> dict:
-    """``meta.json`` stores AS numbers as JSON string keys; restore ints."""
-    return {int(k): v for k, v in (meta.get("as_names") or {}).items()}
-
-
-class ShardAggregate:
-    """Base protocol: fold record dicts into a mergeable partial state.
-
-    Subclasses define ``zero``/``fold``/``merge``/``finalize`` plus a
-    ``spec()`` identifying everything output-affecting about the
-    aggregate; the analysis cache keys stored partials on the spec's
-    fingerprint so a configuration change invalidates exactly the
-    states it affects.  ``merge`` may mutate and return its left
-    argument (states are never shared between aggregates).
-    """
-
-    #: Stable key for this aggregate's output in an AnalysisResult.
-    name: str
-    #: Channels consumed, in the order their streams are folded.
-    channels: Tuple[str, ...]
-    #: Bump when fold/merge/finalize semantics change (cache poison pill).
-    version = 1
-
-    def spec(self) -> dict:
-        return {
-            "aggregate": type(self).__name__,
-            "name": self.name,
-            "channels": list(self.channels),
-            "version": self.version,
-            **self._params(),
-        }
-
-    def _params(self) -> dict:
-        return {}
-
-    def zero(self):
-        """The identity state: ``merge(zero(), s) == s``."""
-        raise NotImplementedError
-
-    def fold(self, state, channel: str, rows: Iterable[dict]):
-        """Fold a chunk of ``channel`` rows (stream order) into ``state``."""
-        raise NotImplementedError
-
-    def merge(self, left, right):
-        """Combine two partials; ``left`` precedes ``right`` in the stream."""
-        raise NotImplementedError
-
-    def finalize(self, state, meta: dict):
-        """Turn the merged state into the analysis output."""
-        raise NotImplementedError
-
-
-def _secret_value(row: dict, kind: str) -> Optional[str]:
-    """The scanned secret identifier for ``kind``, or None.
-
-    Matches ``core.spans._extract_stek`` / ``_extract_kex`` (with the
-    ``kex_spans`` kind filter) and ``core.support._per_domain_values``.
-    """
-    if kind == "stek" or kind == "ticket":
-        return row["stek_id"] if row["ticket_issued"] else None
-    return row["kex_public"] if row["kex_kind"] == kind else None
-
-
-class SpanAggregate(ShardAggregate):
-    """First/last-seen identifier spans (``core.spans.collect_spans``).
-
-    State: ``{domain: {identifier: [first_day, last_day, count]}}``.
-    ``first_day`` is first-seen in *stream* order (so ``merge`` keeps
-    the left value), ``last_day`` is the max, ``count`` the sum —
-    exactly the legacy estimator's firsts/lasts/counts maps.
-    """
-
-    def __init__(self, name: str, channel: str, kind: str) -> None:
-        if kind not in ("stek", "dhe", "ecdhe"):
-            raise ValueError(f"unknown span kind {kind!r}")
-        self.name = name
-        self.channels = (channel,)
-        self.kind = kind
-
-    def _params(self) -> dict:
-        return {"kind": self.kind}
-
-    def zero(self) -> dict:
-        return {}
-
-    def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
-        kind = self.kind
-        for row in rows:
-            if not row["success"]:
-                continue
-            identifier = _secret_value(row, kind)
-            if not identifier:
-                continue
-            by_id = state.setdefault(row["domain"], {})
-            entry = by_id.get(identifier)
-            if entry is None:
-                by_id[identifier] = [row["day"], row["day"], 1]
-            else:
-                if row["day"] > entry[1]:
-                    entry[1] = row["day"]
-                entry[2] += 1
-        return state
-
-    def merge(self, left: dict, right: dict) -> dict:
-        for domain, by_id in right.items():
-            left_ids = left.setdefault(domain, {})
-            for identifier, entry in by_id.items():
-                mine = left_ids.get(identifier)
-                if mine is None:
-                    left_ids[identifier] = entry
-                else:
-                    if entry[1] > mine[1]:
-                        mine[1] = entry[1]
-                    mine[2] += entry[2]
-        return left
-
-    def finalize(self, state: dict, meta: dict) -> dict:
-        result = {}
-        for domain, by_id in state.items():
-            entry = DomainSpans(domain=domain)
-            for identifier, (first, last, count) in by_id.items():
-                entry.spans.append(IdentifierSpan(
-                    domain=domain, identifier=identifier,
-                    first_day=first, last_day=last, observations=count,
-                ))
-            result[domain] = entry
-        return result
-
-
-class LifetimeAggregate(ShardAggregate):
-    """Per-domain honored resumption lifetime, in seconds.
-
-    Streamed twin of ``core.lifetimes.session_lifetime_by_domain``:
-    probes that never resumed are skipped; probes still resuming at
-    the 24-hour cutoff contribute the probe ceiling; a domain's value
-    is the max across its probes.
-    """
-
-    def __init__(self, name: str, channel: str = "session_probes",
-                 probe_ceiling_seconds: float = 24 * HOUR) -> None:
-        self.name = name
-        self.channels = (channel,)
-        self.probe_ceiling_seconds = probe_ceiling_seconds
-
-    def _params(self) -> dict:
-        return {"probe_ceiling_seconds": self.probe_ceiling_seconds}
-
-    def zero(self) -> dict:
-        return {}
-
-    def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
-        ceiling = self.probe_ceiling_seconds
-        for row in rows:
-            if row["max_success_delay"] is None:
-                continue
-            value = ceiling if row["hit_probe_ceiling"] else row["max_success_delay"]
-            state[row["domain"]] = max(state.get(row["domain"], 0.0), value)
-        return state
-
-    def merge(self, left: dict, right: dict) -> dict:
-        for domain, value in right.items():
-            left[domain] = max(left.get(domain, 0.0), value)
-        return left
-
-    def finalize(self, state: dict, meta: dict) -> dict:
-        return state
-
-
-class SupportAggregate(ShardAggregate):
-    """Per-domain trust flag + secret-value tally from a support scan.
-
-    State: ``{domain: [browser_trusted, {value: count}]}`` over
-    successful connections — everything ``core.support_waterfall``
-    needs (via :func:`repro.core.support.waterfall_from_tallies`)
-    without keeping the per-connection value lists in memory.
-    """
-
-    def __init__(self, name: str, channel: str, kind: str) -> None:
-        if kind not in ("dhe", "ecdhe", "ticket"):
-            raise ValueError(f"unknown support kind {kind!r}")
-        self.name = name
-        self.channels = (channel,)
-        self.kind = kind
-
-    def _params(self) -> dict:
-        return {"kind": self.kind}
-
-    def zero(self) -> dict:
-        return {}
-
-    def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
-        kind = self.kind
-        for row in rows:
-            if not row["success"]:
-                continue
-            entry = state.setdefault(row["domain"], [False, {}])
-            if row["cert_trusted"]:
-                entry[0] = True
-            value = _secret_value(row, kind)
-            if value:
-                entry[1][value] = entry[1].get(value, 0) + 1
-        return state
-
-    def merge(self, left: dict, right: dict) -> dict:
-        for domain, (trusted, tally) in right.items():
-            entry = left.setdefault(domain, [False, {}])
-            if trusted:
-                entry[0] = True
-            for value, count in tally.items():
-                entry[1][value] = entry[1].get(value, 0) + count
-        return left
-
-    def finalize(self, state: dict, meta: dict) -> dict:
-        return {
-            "trusted": {domain: bool(entry[0]) for domain, entry in state.items()},
-            "tallies": {domain: entry[1] for domain, entry in state.items()},
-        }
-
-
-class RotationAggregate(ShardAggregate):
-    """Per-domain day -> STEK identifier maps for rotation inference.
-
-    State: ``{domain: {str(day): stek_id}}`` (string day keys so the
-    state JSON-round-trips; ``finalize`` restores ints).  Later chunks
-    overwrite earlier ones per (domain, day), matching the legacy
-    last-write-wins build in ``core.rotation.estimate_rotation``.
-    """
-
-    def __init__(self, name: str, channel: str = "ticket_daily") -> None:
-        self.name = name
-        self.channels = (channel,)
-
-    def zero(self) -> dict:
-        return {}
-
-    def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
-        for row in rows:
-            if not row["success"] or not row["stek_id"]:
-                continue
-            state.setdefault(row["domain"], {})[str(row["day"])] = row["stek_id"]
-        return state
-
-    def merge(self, left: dict, right: dict) -> dict:
-        for domain, by_day in right.items():
-            left.setdefault(domain, {}).update(by_day)
-        return left
-
-    def finalize(self, state: dict, meta: dict) -> dict:
-        return {
-            domain: {int(day): key for day, key in by_day.items()}
-            for domain, by_day in state.items()
-        }
-
-
-class IdentifierGroupsAggregate(ShardAggregate):
-    """Service groups from shared secret identifiers (paper §5.2/§5.3).
-
-    State: ``{identifier: [domains, first-seen order, deduplicated]}``.
-    The union-find itself only runs at ``finalize`` (via
-    :func:`repro.core.groups.groups_from_identifier_map`), because
-    component membership — unlike union order — is all that determines
-    the fully-sorted :class:`~repro.core.groups.GroupingResult`.
-    """
-
-    def __init__(self, name: str, channels: Tuple[str, ...],
-                 kind: str = "stek") -> None:
-        if kind not in ("stek", "dh"):
-            raise ValueError(f"unknown identifier kind {kind!r}")
-        self.name = name
-        self.channels = tuple(channels)
-        self.kind = kind
-
-    def _params(self) -> dict:
-        return {"kind": self.kind}
-
-    def zero(self) -> dict:
-        return {}
-
-    def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
-        for row in rows:
-            if not row["success"]:
-                continue
-            if self.kind == "stek":
-                value = row["stek_id"] if row["ticket_issued"] else None
-            else:
-                value = row["kex_public"]
-            if not value:
-                continue
-            domains = state.setdefault(value, [])
-            if row["domain"] not in domains:
-                domains.append(row["domain"])
-        return state
-
-    def merge(self, left: dict, right: dict) -> dict:
-        for value, domains in right.items():
-            mine = left.setdefault(value, [])
-            for domain in domains:
-                if domain not in mine:
-                    mine.append(domain)
-        return left
-
-    def finalize(self, state: dict, meta: dict) -> GroupingResult:
-        return groups_from_identifier_map(
-            state, self.kind, meta.get("domain_asn"), _as_names(meta)
-        )
-
-
-class EdgeGroupsAggregate(ShardAggregate):
-    """Session-cache service groups from cross-domain edges (§5.1).
-
-    State: the edge rows themselves (tiny relative to scan channels);
-    ``finalize`` rebuilds :class:`CrossDomainEdge` records and runs the
-    legacy ``groups_from_edges`` with the probed-domain universe from
-    ``meta.json``, so singleton accounting matches exactly.
-    """
-
-    def __init__(self, name: str, channel: str = "cache_edges") -> None:
-        self.name = name
-        self.channels = (channel,)
-
-    def zero(self) -> list:
-        return []
-
-    def fold(self, state: list, channel: str, rows: Iterable[dict]) -> list:
-        state.extend(rows)
-        return state
-
-    def merge(self, left: list, right: list) -> list:
-        left.extend(right)
-        return left
-
-    def finalize(self, state: list, meta: dict) -> GroupingResult:
-        return groups_from_edges(
-            (CrossDomainEdge(**row) for row in state),
-            meta.get("crossdomain_targets") or [],
-            meta.get("domain_asn"), _as_names(meta),
-        )
+from ..core.aggregate import ShardAggregate
+from ..core.groups import (
+    SHARED_IDENTIFIER_CHANNELS,
+    EdgeGroupsAggregate,
+    IdentifierGroupsAggregate,
+)
+from ..core.lifetimes import LifetimeAggregate
+from ..core.rotation import RotationAggregate
+from ..core.spans import SpanAggregate
+from ..core.support import SupportAggregate
 
 
 def default_aggregates() -> list:
@@ -395,7 +35,7 @@ def default_aggregates() -> list:
         SupportAggregate("ecdhe_waterfall", "ecdhe_support", kind="ecdhe"),
         RotationAggregate("stek_rotation"),
         IdentifierGroupsAggregate(
-            "stek_groups", ("ticket_support", "ticket_30min"), kind="stek"
+            "stek_groups", SHARED_IDENTIFIER_CHANNELS["stek"], kind="stek"
         ),
         EdgeGroupsAggregate("cache_groups"),
     ]

@@ -12,14 +12,15 @@ into memory:
    same way the scan engine fans shards; like there, worker count
    never affects output because
 3. **Merge** — partials merge left-to-right in (channel, byte offset)
-   order, which reproduces the exact dict insertion order of a
-   single-threaded in-memory pass.
+   order, which reproduces the exact dict insertion order of one
+   in-memory pass (:func:`repro.core.aggregate.fold_records`).
 4. **Cache** — each chunk's partials persist under
    ``<dataset>/.analysis/`` keyed by the sha256 of the chunk's bytes
    plus each aggregate's spec fingerprint
    (:func:`repro.scanner.checkpoint.fingerprint_digest`), so re-running
    after a ``--resume`` or with a tweaked aggregate set only re-folds
-   chunks whose bytes or specs actually changed.
+   chunks whose bytes or specs actually changed.  A cache file that is
+   unreadable or malformed counts as a miss and is refolded.
 
 Memory stays at O(largest chunk + aggregate states): the corpus itself
 is never resident.
@@ -91,12 +92,8 @@ class AnalysisResult:
         return self.channel_rows.get(channel, 0)
 
     def spans(self, name: str, domains: Optional[set] = None) -> dict:
-        """A SpanAggregate output, optionally restricted to ``domains``.
-
-        Filtering a finished span dict preserves insertion order among
-        the surviving domains, so it is interchangeable with the legacy
-        path's filter-during-collection.
-        """
+        """A SpanAggregate output, optionally restricted to ``domains``
+        (the same filter :func:`repro.core.collect_spans` applies)."""
         result = self.outputs[name]
         if domains is None:
             return result
@@ -118,28 +115,36 @@ def _spec_digests(aggregates: Sequence[ShardAggregate]) -> Dict[str, str]:
     return {agg.name: fingerprint_digest(agg.spec()) for agg in aggregates}
 
 
-def _load_cached(path: str, digest: str, needed: Sequence[ShardAggregate],
+def _load_cached(path: str, chunk: Chunk, digest: str,
+                 needed: Sequence[ShardAggregate],
                  specs: Dict[str, str]) -> Optional[ChunkOutcome]:
+    """The cached outcome for ``chunk``, or None for a miss.
+
+    Anything unexpected in the file (unreadable, not a dict, stale
+    schema or bytes, a malformed ``states`` entry) is a miss, so the
+    chunk is simply refolded.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
+    if not isinstance(payload, dict):
+        return None
     if payload.get("schema") != CACHE_SCHEMA or payload.get("sha256") != digest:
         return None
-    stored = payload.get("states", {})
+    stored, rows = payload.get("states"), payload.get("rows")
+    if not isinstance(stored, dict) or not isinstance(rows, int):
+        return None
     states: Dict[str, object] = {}
     for agg in needed:
         entry = stored.get(agg.name)
-        if not isinstance(entry, dict) or entry.get("spec") != specs[agg.name]:
+        if (not isinstance(entry, dict)
+                or entry.get("spec") != specs[agg.name]
+                or not isinstance(entry.get("state"), type(agg.zero()))):
             return None
         states[agg.name] = entry["state"]
-    return ChunkOutcome(
-        chunk=Chunk(**payload["chunk"]),
-        rows=int(payload.get("rows", 0)),
-        states=states,
-        cache_hit=True,
-    )
+    return ChunkOutcome(chunk=chunk, rows=rows, states=states, cache_hit=True)
 
 
 def _write_cache(path: str, chunk: Chunk, digest: str, rows: int,
@@ -173,7 +178,7 @@ def _run_chunk(task) -> ChunkOutcome:
     cache_dir = os.path.join(directory, CACHE_DIR_NAME)
     cache_path = _cache_file(cache_dir, chunk)
     if use_cache:
-        cached = _load_cached(cache_path, digest, needed, specs)
+        cached = _load_cached(cache_path, chunk, digest, needed, specs)
         if cached is not None:
             return cached
     rows = parse_chunk(blob)

@@ -1,12 +1,9 @@
-"""Report/audit wiring: one renderer, two input paths.
+"""Report/audit wiring: inputs from the engine, then one renderer.
 
-``repro report`` and ``repro audit`` historically loaded the dataset
-and analyzed it in memory.  This module splits each command into an
-*inputs* stage (two interchangeable builders: the legacy in-memory
-dataset path, and the streaming :class:`~repro.analysis.engine.
-AnalysisEngine` path) and a shared *render* stage, so byte-identical
-output reduces to input equality — which the aggregate merge rules
-guarantee (see :mod:`repro.analysis.aggregates`).
+``repro report`` and ``repro audit`` each split into an *inputs* stage,
+which picks the finalized aggregates out of an
+:class:`~repro.analysis.engine.AnalysisResult`, and a *render* stage
+that turns those inputs into text.
 """
 
 from __future__ import annotations
@@ -49,48 +46,8 @@ class AuditInputs:
 # ---------------------------------------------------------------------------
 
 
-def report_inputs_from_dataset(dataset) -> ReportInputs:
-    """The pre-PR-5 in-memory analysis path, kept as the reference
-    implementation (``repro report --legacy``) and golden-test oracle."""
-    always = set(dataset.always_present)
-    sections: List[core.SupportWaterfall] = []
-    stek_groups = None
-    if dataset.ticket_support:
-        trusted = {
-            o.domain for o in dataset.ticket_support
-            if o.success and o.cert_trusted
-        }
-        if dataset.dhe_support:
-            sections.append(core.support_waterfall(
-                dataset.dhe_support, "dhe", *dataset.list_sizes["dhe"],
-                trusted_domains=trusted))
-        if dataset.ecdhe_support:
-            sections.append(core.support_waterfall(
-                dataset.ecdhe_support, "ecdhe", *dataset.list_sizes["ecdhe"],
-                trusted_domains=trusted))
-        sections.append(core.support_waterfall(
-            dataset.ticket_support, "ticket", *dataset.list_sizes["ticket"]))
-        stek_groups = core.groups_from_shared_identifiers(
-            [dataset.ticket_support, dataset.ticket_30min], "stek",
-            dataset.domain_asn, dataset.as_names)
-    cache_groups = None
-    if dataset.cache_edges or dataset.crossdomain_targets:
-        cache_groups = core.groups_from_edges(
-            dataset.cache_edges, dataset.crossdomain_targets,
-            dataset.domain_asn, dataset.as_names)
-    return ReportInputs(
-        sections=sections,
-        stek_spans=core.stek_spans(dataset.ticket_daily, always),
-        dhe_spans=core.kex_spans(dataset.dhe_daily, always, kind="dhe"),
-        ecdhe_spans=core.kex_spans(dataset.ecdhe_daily, always, kind="ecdhe"),
-        ranks=dataset.ranks,
-        cache_groups=cache_groups,
-        stek_groups=stek_groups,
-    )
-
-
 def report_inputs_from_analysis(result: AnalysisResult) -> ReportInputs:
-    """The streaming path: the same inputs from finalized aggregates."""
+    """Report inputs from the finalized aggregates."""
     meta = result.meta
     list_sizes = meta.get("list_sizes") or {}
     always = result.always_present
@@ -127,26 +84,9 @@ def report_inputs_from_analysis(result: AnalysisResult) -> ReportInputs:
     )
 
 
-def audit_inputs_from_dataset(dataset) -> AuditInputs:
-    """Legacy in-memory audit inputs (the ``--legacy`` oracle)."""
-    always = set(dataset.always_present)
-    windows = core.combine_windows(
-        stek_spans_by_domain=core.stek_spans(dataset.ticket_daily, always),
-        session_lifetimes=core.session_lifetime_by_domain(
-            dataset.session_probes),
-        dhe_spans_by_domain=core.kex_spans(
-            dataset.dhe_daily, always, kind="dhe"),
-        ecdhe_spans_by_domain=core.kex_spans(
-            dataset.ecdhe_daily, always, kind="ecdhe"),
-    )
-    estimates = core.estimate_rotation(dataset.ticket_daily, always)
-    return AuditInputs(windows=windows, estimates=estimates,
-                       ranks=dataset.ranks)
-
-
 def audit_inputs_from_analysis(result: AnalysisResult) -> AuditInputs:
-    """Streaming audit inputs; ``core.combine_windows`` runs on the
-    merged aggregates instead of freshly-collected spans."""
+    """Audit inputs: ``core.combine_windows`` over the merged spans and
+    lifetimes, and rotation estimates from the merged day maps."""
     always = result.always_present
     windows = core.combine_windows(
         stek_spans_by_domain=result.spans("stek_spans", always),
@@ -161,7 +101,7 @@ def audit_inputs_from_analysis(result: AnalysisResult) -> AuditInputs:
 
 
 # ---------------------------------------------------------------------------
-# Renderers (shared by both paths)
+# Renderers
 # ---------------------------------------------------------------------------
 
 
@@ -246,9 +186,7 @@ def render_events_provenance(summary: dict, path: str) -> str:
 __all__ = [
     "ReportInputs",
     "AuditInputs",
-    "report_inputs_from_dataset",
     "report_inputs_from_analysis",
-    "audit_inputs_from_dataset",
     "audit_inputs_from_analysis",
     "render_report",
     "render_audit",

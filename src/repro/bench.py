@@ -12,11 +12,10 @@ tracks two layers on every PR:
   end-to-end through the sharded scan engine, plus a ``scale_study``
   section that pushes a large daily-sweep-only population through the
   event-driven core (``concurrency=2048``, streamed to disk) and
-  records RSS before/after so memory stays part of the trajectory;
-* **analysis** — ``report`` + ``audit`` wall-clock on a synthetic
-  corpus: the legacy in-memory path versus the streaming engine
-  (:mod:`repro.analysis`) cold at 1 and 4 workers and with a warm
-  partial cache, asserting byte-identical output along the way.
+  records RSS before/after so memory stays part of the trajectory.
+
+``report`` + ``audit`` over a dataset are timed by the repo benchmark's
+``analysis`` workload (``perfbench/``), not here.
 
 Results are emitted as JSON (``BENCH_<label>.json`` at the repo root
 by convention) so the perf trajectory across PRs lives in version
@@ -358,184 +357,6 @@ def run_scale(quick: bool, population: Optional[int] = None) -> dict:
     }
 
 
-# --- streaming analysis ------------------------------------------------
-
-def _synth_analysis_corpus(directory: str, domains: int, days: int) -> dict:
-    """Write a deterministic mid-size dataset directly as JSONL.
-
-    The records are synthesized arithmetically (no TLS stack) so the
-    benchmark times *analysis* throughput, not handshake simulation:
-    rotating STEK/key identifiers with per-domain periods, shared STEKs
-    inside small clusters (service groups), resumption-probe lifetimes,
-    and a sprinkle of failures and untrusted certs.
-    """
-    from .scanner.datastore import channel_path, write_meta
-    from .scanner.records import (
-        CHANNELS,
-        CrossDomainEdge,
-        ResumptionProbeResult,
-        ScanObservation,
-        write_jsonl,
-    )
-
-    names = [f"site{i:04d}.example" for i in range(domains)]
-
-    def obs(i: int, day: int, kind: str, identifier: str,
-            conn: int = 0) -> ScanObservation:
-        ok = (i + day + conn) % 29 != 0
-        is_ticket = kind == "stek"
-        return ScanObservation(
-            domain=names[i],
-            day=day,
-            timestamp=day * 86400.0 + conn,
-            rank=i + 1,
-            ip=f"198.51.{i % 250}.{(i * 7) % 250}",
-            success=ok,
-            cipher="ECDHE-RSA-AES128-SHA" if ok else None,
-            kex_kind="ecdhe" if is_ticket else kind,
-            forward_secret=ok,
-            cert_trusted=ok and i % 13 != 0,
-            ticket_extension=ok,
-            ticket_issued=ok and is_ticket,
-            stek_id=identifier if ok and is_ticket else None,
-            kex_public=identifier if ok and not is_ticket else None,
-        )
-
-    channels: dict[str, list] = {name: [] for name in CHANNELS}
-    for i in range(domains):
-        stek_period = 1 + i % 9
-        dhe_period = 1 + i % 6
-        ecdhe_period = 1 + i % 4
-        for day in range(days):
-            channels["ticket_daily"].append(
-                obs(i, day, "stek", f"stek-{i}-{day // stek_period}"))
-            channels["dhe_daily"].append(
-                obs(i, day, "dhe", f"dhe-{i}-{day // dhe_period}"))
-            channels["ecdhe_daily"].append(
-                obs(i, day, "ecdhe", f"ec-{i}-{day // ecdhe_period}"))
-        # Support scans (day 1): clusters of four share one STEK, which
-        # is what the service-group analysis exists to find.
-        shared = f"stek-c{i // 4}" if i % 3 == 0 else f"stek-{i}-s"
-        reuse = 1 + i % 3
-        for conn in range(10):
-            channels["ticket_support"].append(obs(i, 1, "stek", shared, conn))
-            channels["dhe_support"].append(
-                obs(i, 1, "dhe", f"dhe-{i}-s{conn % reuse}", conn))
-            channels["ecdhe_support"].append(
-                obs(i, 1, "ecdhe", f"ec-{i}-s{conn % reuse}", conn))
-        for conn in range(4):
-            channels["ticket_30min"].append(obs(i, 1, "stek", shared, conn))
-        for mechanism, channel in (("session_id", "session_probes"),
-                                   ("ticket", "ticket_probes")):
-            channels[channel].append(ResumptionProbeResult(
-                domain=names[i],
-                rank=i + 1,
-                mechanism=mechanism,
-                handshake_ok=True,
-                issued=i % 7 != 0,
-                resumed_at_1s=i % 7 != 0,
-                max_success_delay=None if i % 7 == 0 else (i % 48) * 1800.0,
-                hit_probe_ceiling=i % 11 == 0,
-                attempts=20,
-            ))
-    for i in range(0, domains - 1, 9):
-        channels["cache_edges"].append(CrossDomainEdge(
-            origin=names[i], acceptor=names[i + 1],
-            via_same_ip=i % 2 == 0, via_same_as=True))
-
-    total_rows = 0
-    total_bytes = 0
-    for name, rows in channels.items():
-        path = channel_path(directory, name)
-        total_rows += write_jsonl(path, rows)
-        total_bytes += os.path.getsize(path)
-    write_meta(directory, {
-        "days": days,
-        "day0_list": [],
-        "always_present": names,
-        "ranks": {name: i + 1 for i, name in enumerate(names)},
-        "crossdomain_targets": names[: min(40, domains)],
-        "domain_asn": {name: 64500 + i % 20 for i, name in enumerate(names)},
-        "domain_ip": {},
-        "as_names": {64500 + k: f"Bench AS {k}" for k in range(20)},
-        "list_sizes": {kind: [domains, domains]
-                       for kind in ("dhe", "ecdhe", "ticket")},
-    })
-    return {"domains": domains, "days": days,
-            "rows": total_rows, "bytes": total_bytes}
-
-
-def run_analysis(quick: bool) -> dict:
-    """Time ``report`` + ``audit`` end-to-end: legacy in-memory path vs
-    the streaming engine (cold at 1 and 4 workers, then warm cache).
-
-    The four paths must render byte-identical text — the same invariant
-    the golden tests pin — so a benchmark run doubles as an identity
-    check on a corpus shaped differently from the reference study.
-    """
-    import shutil
-    import tempfile
-
-    from .analysis import (
-        analyze,
-        audit_inputs_from_analysis,
-        audit_inputs_from_dataset,
-        render_audit,
-        render_report,
-        report_inputs_from_analysis,
-        report_inputs_from_dataset,
-    )
-    from .scanner import load_dataset
-
-    domains = 120 if quick else 280
-    days = 12 if quick else 48
-    workdir = tempfile.mkdtemp(prefix="repro-bench-analysis-")
-    try:
-        corpus = _synth_analysis_corpus(workdir, domains, days)
-
-        def legacy() -> str:
-            dataset = load_dataset(workdir)
-            report = render_report(report_inputs_from_dataset(dataset))
-            audit = render_audit(audit_inputs_from_dataset(dataset), worst=10)
-            return report + "\n" + audit
-
-        def streamed(workers: int, use_cache: bool) -> str:
-            result = analyze(workdir, workers=workers, use_cache=use_cache)
-            report = render_report(report_inputs_from_analysis(result))
-            audit = render_audit(audit_inputs_from_analysis(result), worst=10)
-            return report + "\n" + audit
-
-        def timed(fn: Callable[[], str]) -> tuple[float, str]:
-            start = time.perf_counter()
-            text = fn()
-            return time.perf_counter() - start, text
-
-        legacy_seconds, expected = timed(legacy)
-        w1_seconds, w1_text = timed(lambda: streamed(1, use_cache=False))
-        w4_seconds, w4_text = timed(lambda: streamed(4, use_cache=False))
-        streamed(1, use_cache=True)  # populate the partial cache
-        warm_seconds, warm_text = timed(lambda: streamed(1, use_cache=True))
-        if not (expected == w1_text == w4_text == warm_text):
-            raise AssertionError(
-                "streaming analysis diverged from the in-memory path")
-        return {
-            "corpus": corpus,
-            "report_audit_seconds": {
-                "legacy": round(legacy_seconds, 3),
-                "stream_workers1": round(w1_seconds, 3),
-                "stream_workers4": round(w4_seconds, 3),
-                "stream_warm_cache": round(warm_seconds, 3),
-            },
-            "speedup_vs_legacy": {
-                "stream_workers1": round(legacy_seconds / w1_seconds, 2),
-                "stream_workers4": round(legacy_seconds / w4_seconds, 2),
-                "stream_warm_cache": round(legacy_seconds / warm_seconds, 2),
-            },
-        }
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
 # --- orchestration -----------------------------------------------------
 
 def _resource_usage() -> dict:
@@ -617,7 +438,6 @@ def run_bench(
         "quick": quick,
         "micro": micro,
         "e2e": e2e,
-        "analysis": run_analysis(quick),
         "resources": _resource_usage(),
     }
     if baseline_path:
@@ -674,20 +494,6 @@ def render(report: dict) -> str:
             if stats.get("evictions"):
                 line += f" / {stats['evictions']:,} evicted"
             lines.append(line + ")")
-    analysis = report.get("analysis")
-    if analysis:
-        lines.append(
-            f"  streaming analysis (report+audit, "
-            f"{analysis['corpus']['rows']:,}-row corpus):"
-        )
-        seconds = analysis["report_audit_seconds"]
-        speedups = analysis["speedup_vs_legacy"]
-        path_width = max(len(name) for name in seconds)
-        for name, value in seconds.items():
-            line = f"    {name:<{path_width}}  {value:>8.3f}s"
-            if name in speedups:
-                line += f"  ({speedups[name]}x vs legacy)"
-            lines.append(line)
     for name, ratio in report.get("speedup", {}).items():
         lines.append(f"  speedup {name}: {ratio}x vs {report['baseline']['label']}")
     return "\n".join(lines)

@@ -53,7 +53,6 @@ from .scanner import (
     StudyAborted,
     StudyConfig,
     ZGrabber,
-    load_dataset,
     run_study_with_stats,
     save_dataset,
 )
@@ -346,10 +345,6 @@ def cmd_study(args) -> int:
     return 0
 
 
-def _load(directory: str):
-    return load_dataset(directory)
-
-
 def _analysis_result(args):
     """Run the streaming analysis engine per the report/audit flags."""
     from .analysis import analyze
@@ -369,11 +364,7 @@ def _analysis_result(args):
 
 
 def cmd_report(args) -> int:
-    from .analysis import (
-        render_report,
-        report_inputs_from_analysis,
-        report_inputs_from_dataset,
-    )
+    from .analysis import render_report, report_inputs_from_analysis
 
     provenance = None
     if args.events:
@@ -387,10 +378,7 @@ def cmd_report(args) -> int:
                   file=sys.stderr)
             return 1
         provenance = render_events_provenance(summary, args.events)
-    if args.legacy:
-        inputs = report_inputs_from_dataset(_load(args.dataset))
-    else:
-        inputs = report_inputs_from_analysis(_analysis_result(args))
+    inputs = report_inputs_from_analysis(_analysis_result(args))
     print(render_report(inputs, min_days=args.min_days))
     if provenance is not None:
         print()
@@ -399,16 +387,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from .analysis import (
-        audit_inputs_from_analysis,
-        audit_inputs_from_dataset,
-        render_audit,
-    )
+    from .analysis import audit_inputs_from_analysis, render_audit
 
-    if args.legacy:
-        inputs = audit_inputs_from_dataset(_load(args.dataset))
-    else:
-        inputs = audit_inputs_from_analysis(_analysis_result(args))
+    inputs = audit_inputs_from_analysis(_analysis_result(args))
     print(render_audit(inputs, worst=args.worst))
     return 0
 
@@ -816,10 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true",
                        help="skip the <dataset>/.analysis/ partial cache "
                             "(always re-fold every chunk)")
-        p.add_argument("--legacy", action="store_true",
-                       help="use the in-memory reference analysis path "
-                            "instead of the streaming engine (same "
-                            "output, O(dataset) memory)")
 
     report = sub.add_parser("report", help="render tables from a dataset")
     report.add_argument("dataset", help="directory written by `repro study`")

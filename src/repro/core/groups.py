@@ -18,8 +18,10 @@ Three builders mirror the paper's three experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Optional, Tuple
 
+from .aggregate import ShardAggregate, fold_records, secret_value
 from ..scanner.records import CrossDomainEdge, ScanObservation
 
 
@@ -157,30 +159,13 @@ def groups_from_shared_identifiers(
     ``observation_sets`` joins multiple scans (the paper merges a
     10-connection six-hour scan with a 30-minute scan).
     """
-    if identifier == "stek":
-        def extract(o: ScanObservation):
-            return o.stek_id if o.ticket_issued else None
-        mechanism = "stek"
-    elif identifier == "dh":
-        def extract(o: ScanObservation):
-            return o.kex_public
-        mechanism = "dh"
-    else:
-        raise ValueError(f"unknown identifier kind {identifier!r}")
-
-    identifier_domains: dict[str, list[str]] = {}
-    for observations in observation_sets:
-        for observation in observations:
-            if not observation.success:
-                continue
-            value = extract(observation)
-            if not value:
-                continue
-            domains = identifier_domains.setdefault(value, [])
-            if observation.domain not in domains:
-                domains.append(observation.domain)
-    return groups_from_identifier_map(
-        identifier_domains, mechanism, domain_asn, as_names
+    aggregate = IdentifierGroupsAggregate(
+        f"{identifier}_groups", SHARED_IDENTIFIER_CHANNELS.get(identifier, ()),
+        kind=identifier,
+    )
+    return fold_records(
+        aggregate, chain.from_iterable(observation_sets),
+        {"domain_asn": domain_asn, "as_names": as_names},
     )
 
 
@@ -192,11 +177,10 @@ def groups_from_identifier_map(
 ) -> GroupingResult:
     """Service groups from an identifier -> domains map.
 
-    The map is the natural *mergeable* form of the shared-identifier
-    experiment (the streaming analysis engine folds one per shard and
-    concatenates domain lists); every domain listed under one
-    identifier joins that identifier's group, and groups connected
-    through a common domain merge transitively as usual.
+    The map is the finalized :class:`IdentifierGroupsAggregate` state;
+    every domain listed under one identifier joins that identifier's
+    group, and groups connected through a common domain merge
+    transitively as usual.
     """
     uf = UnionFind()
     for domains in identifier_domains.values():
@@ -209,6 +193,102 @@ def groups_from_identifier_map(
     return _label_groups(uf.groups(), mechanism, domain_asn, as_names)
 
 
+def _as_names(meta: dict) -> dict:
+    """``meta.json`` stores AS numbers as JSON string keys; restore ints."""
+    return {int(k): v for k, v in (meta.get("as_names") or {}).items()}
+
+
+#: The scans each shared-identifier experiment joins (§5.2, §5.3).
+SHARED_IDENTIFIER_CHANNELS = {
+    "stek": ("ticket_support", "ticket_30min"),
+    "dh": ("dhe_support", "dhe_30min", "ecdhe_support", "ecdhe_30min"),
+}
+
+
+class IdentifierGroupsAggregate(ShardAggregate):
+    """Service groups from shared secret identifiers (§5.2/§5.3).
+
+    State: ``{identifier: [domains, first-seen order, deduplicated]}``
+    over successful connections.  The union-find itself only runs at
+    ``finalize`` (via :func:`groups_from_identifier_map`), because
+    component membership — unlike union order — is all that determines
+    the fully-sorted :class:`GroupingResult`.
+    """
+
+    def __init__(self, name: str, channels: Tuple[str, ...],
+                 kind: str = "stek") -> None:
+        if kind not in ("stek", "dh"):
+            raise ValueError(f"unknown identifier kind {kind!r}")
+        self.name = name
+        self.channels = tuple(channels)
+        self.kind = kind
+
+    def _params(self) -> dict:
+        return {"kind": self.kind}
+
+    def zero(self) -> dict:
+        return {}
+
+    def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
+        for row in rows:
+            if not row["success"]:
+                continue
+            # DH groups join DHE and ECDHE values alike.
+            value = (secret_value(row, "stek") if self.kind == "stek"
+                     else row["kex_public"])
+            if not value:
+                continue
+            domains = state.setdefault(value, [])
+            if row["domain"] not in domains:
+                domains.append(row["domain"])
+        return state
+
+    def merge(self, left: dict, right: dict) -> dict:
+        for value, domains in right.items():
+            mine = left.setdefault(value, [])
+            for domain in domains:
+                if domain not in mine:
+                    mine.append(domain)
+        return left
+
+    def finalize(self, state: dict, meta: dict) -> GroupingResult:
+        return groups_from_identifier_map(
+            state, self.kind, meta.get("domain_asn"), _as_names(meta)
+        )
+
+
+class EdgeGroupsAggregate(ShardAggregate):
+    """Session-cache service groups from cross-domain edges (§5.1).
+
+    State: the edge rows themselves (tiny relative to scan channels);
+    ``finalize`` rebuilds :class:`CrossDomainEdge` records and runs
+    :func:`groups_from_edges` with the probed-domain universe from
+    ``meta.json``, so singleton accounting matches exactly.
+    """
+
+    def __init__(self, name: str, channel: str = "cache_edges") -> None:
+        self.name = name
+        self.channels = (channel,)
+
+    def zero(self) -> list:
+        return []
+
+    def fold(self, state: list, channel: str, rows: Iterable[dict]) -> list:
+        state.extend(rows)
+        return state
+
+    def merge(self, left: list, right: list) -> list:
+        left.extend(right)
+        return left
+
+    def finalize(self, state: list, meta: dict) -> GroupingResult:
+        return groups_from_edges(
+            (CrossDomainEdge(**row) for row in state),
+            meta.get("crossdomain_targets") or [],
+            meta.get("domain_asn"), _as_names(meta),
+        )
+
+
 __all__ = [
     "UnionFind",
     "ServiceGroup",
@@ -216,4 +296,7 @@ __all__ = [
     "groups_from_edges",
     "groups_from_shared_identifiers",
     "groups_from_identifier_map",
+    "SHARED_IDENTIFIER_CHANNELS",
+    "IdentifierGroupsAggregate",
+    "EdgeGroupsAggregate",
 ]

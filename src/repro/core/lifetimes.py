@@ -9,10 +9,11 @@ ticket lifetime hints compare with honored lifetimes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..netsim.clock import HOUR, MINUTE
 from ..scanner.records import ResumptionProbeResult
+from .aggregate import ShardAggregate, fold_records
 from .cdf import CDF
 
 
@@ -110,20 +111,54 @@ def lifetime_buckets(
     )
 
 
+class LifetimeAggregate(ShardAggregate):
+    """Per-domain honored resumption lifetime, in seconds.
+
+    Probes that never resumed are skipped; probes still resuming at the
+    24-hour cutoff contribute the probe ceiling; a domain's value is
+    the max across its probes.
+    """
+
+    def __init__(self, name: str, channel: str = "session_probes",
+                 probe_ceiling_seconds: float = 24 * HOUR) -> None:
+        self.name = name
+        self.channels = (channel,)
+        self.probe_ceiling_seconds = probe_ceiling_seconds
+
+    def _params(self) -> dict:
+        return {"probe_ceiling_seconds": self.probe_ceiling_seconds}
+
+    def zero(self) -> dict:
+        return {}
+
+    def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
+        ceiling = self.probe_ceiling_seconds
+        for row in rows:
+            if row["max_success_delay"] is None:
+                continue
+            value = ceiling if row["hit_probe_ceiling"] else row["max_success_delay"]
+            state[row["domain"]] = max(state.get(row["domain"], 0.0), value)
+        return state
+
+    def merge(self, left: dict, right: dict) -> dict:
+        for domain, value in right.items():
+            left[domain] = max(left.get(domain, 0.0), value)
+        return left
+
+    def finalize(self, state: dict, meta: dict) -> dict:
+        return state
+
+
 def session_lifetime_by_domain(
     probes: Iterable[ResumptionProbeResult],
     probe_ceiling_seconds: float = 24 * HOUR,
 ) -> dict[str, float]:
     """domain -> honored lifetime in seconds (for the §6 windows)."""
-    lifetimes: dict[str, float] = {}
-    for probe in probes:
-        if probe.max_success_delay is None:
-            continue
-        value = (
-            probe_ceiling_seconds if probe.hit_probe_ceiling else probe.max_success_delay
-        )
-        lifetimes[probe.domain] = max(lifetimes.get(probe.domain, 0.0), value)
-    return lifetimes
+    return fold_records(
+        LifetimeAggregate("session_lifetimes",
+                          probe_ceiling_seconds=probe_ceiling_seconds),
+        probes,
+    )
 
 
 __all__ = [
@@ -134,5 +169,6 @@ __all__ = [
     "unspecified_hint_count",
     "LifetimeBuckets",
     "lifetime_buckets",
+    "LifetimeAggregate",
     "session_lifetime_by_domain",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from ..netsim.clock import DAY
+from .aggregate import ShardAggregate, fold_records
 from .spans import DomainSpans
 from ..scanner.records import ScanObservation
 
@@ -28,11 +28,46 @@ class RotationEstimate:
     observed_keys: int
     observation_days: int
     estimated_interval_days: Optional[float]  # None = no rotation observed
-    policy: str  # "sub-daily" | "daily" | "multi-day" | "static"
+    policy: str  # "daily" | "multi-day" | "static"
 
     @property
     def rotates(self) -> bool:
         return self.estimated_interval_days is not None
+
+
+class RotationAggregate(ShardAggregate):
+    """Per-domain day -> STEK identifier maps for rotation inference.
+
+    State: ``{domain: {str(day): stek_id}}`` over successful
+    connections that presented a STEK identifier (string day keys so
+    the state JSON-round-trips; ``finalize`` restores ints).  Later
+    rows overwrite earlier ones per (domain, day).
+    """
+
+    def __init__(self, name: str, channel: str = "ticket_daily") -> None:
+        self.name = name
+        self.channels = (channel,)
+
+    def zero(self) -> dict:
+        return {}
+
+    def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
+        for row in rows:
+            if not row["success"] or not row["stek_id"]:
+                continue
+            state.setdefault(row["domain"], {})[str(row["day"])] = row["stek_id"]
+        return state
+
+    def merge(self, left: dict, right: dict) -> dict:
+        for domain, by_day in right.items():
+            left.setdefault(domain, {}).update(by_day)
+        return left
+
+    def finalize(self, state: dict, meta: dict) -> dict:
+        return {
+            domain: {int(day): key for day, key in by_day.items()}
+            for domain, by_day in state.items()
+        }
 
 
 def estimate_rotation(
@@ -43,20 +78,12 @@ def estimate_rotation(
 
     With one sample per day the estimate is day-granular: a domain
     showing a fresh identifier every day rotates at least daily
-    ("sub-daily" is indistinguishable from "daily" here — the paper's
-    hourly probes exist precisely to split that case); a domain showing
-    one identifier throughout is "static".
+    (sub-daily rotation is indistinguishable from daily here — the
+    paper's hourly probes exist precisely to split that case); a domain
+    showing one identifier throughout is "static".
     """
-    per_domain: dict[str, dict[int, str]] = {}
-    for observation in observations:
-        if not observation.success or not observation.stek_id:
-            continue
-        if domains is not None and observation.domain not in domains:
-            continue
-        per_domain.setdefault(observation.domain, {})[observation.day] = (
-            observation.stek_id
-        )
-    return estimates_from_day_keys(per_domain)
+    per_domain = fold_records(RotationAggregate("stek_rotation"), observations)
+    return estimates_from_day_keys(per_domain, domains)
 
 
 def estimates_from_day_keys(
@@ -65,10 +92,9 @@ def estimates_from_day_keys(
 ) -> dict[str, RotationEstimate]:
     """Rotation estimates from per-domain ``{day: identifier}`` maps.
 
-    The map form is what the streaming analysis engine accumulates per
-    shard (each (domain, day) cell is written by exactly one scan, so
-    shard merges commute); :func:`estimate_rotation` builds the same
-    maps from raw observations and delegates here.
+    The maps are the finalized :class:`RotationAggregate` state (each
+    (domain, day) cell is written by exactly one scan, so shard merges
+    commute).
     """
     estimates: dict[str, RotationEstimate] = {}
     for domain, by_day in per_domain.items():
@@ -100,12 +126,7 @@ def estimates_from_day_keys(
             interval = float(max(change_days[0] - days[0],
                                  days[-1] - change_days[0]))
         interval = max(interval, 1.0)
-        if interval <= 1.0:
-            policy = "daily"
-        elif interval <= 2.0:
-            policy = "daily"
-        else:
-            policy = "multi-day"
+        policy = "daily" if interval <= 2.0 else "multi-day"
         estimates[domain] = RotationEstimate(
             domain=domain,
             observed_keys=distinct,
@@ -143,5 +164,6 @@ def consistent_with_spans(
     return True
 
 
-__all__ = ["RotationEstimate", "estimate_rotation", "estimates_from_day_keys",
-           "rotation_policy_histogram", "consistent_with_spans"]
+__all__ = ["RotationEstimate", "RotationAggregate", "estimate_rotation",
+           "estimates_from_day_keys", "rotation_policy_histogram",
+           "consistent_with_spans"]

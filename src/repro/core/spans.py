@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from .aggregate import ShardAggregate, fold_records, secret_value
 from .cdf import CDF
 from ..scanner.records import ScanObservation
 
@@ -70,49 +71,107 @@ def _extract_stek(observation: ScanObservation) -> Optional[str]:
     return observation.stek_id if observation.ticket_issued else None
 
 
-def _extract_kex(observation: ScanObservation) -> Optional[str]:
-    return observation.kex_public
+class SpanAggregate(ShardAggregate):
+    """First/last-seen identifier spans, the estimator of this module.
+
+    State: ``{domain: {identifier: [first_day, last_day, count]}}``
+    over successful connections.  ``first_day`` is first-seen in
+    *stream* order (so ``merge`` keeps the left value), ``last_day`` is
+    the max, ``count`` the sum.
+
+    >>> agg = SpanAggregate("stek_spans", "ticket_daily", kind="stek")
+    >>> rows = [
+    ...     {"domain": "a.test", "day": 0, "success": True,
+    ...      "ticket_issued": True, "stek_id": "k1"},
+    ...     {"domain": "a.test", "day": 5, "success": True,
+    ...      "ticket_issued": True, "stek_id": "k1"},
+    ...     {"domain": "a.test", "day": 9, "success": False,
+    ...      "ticket_issued": True, "stek_id": "k1"},
+    ... ]
+    >>> left = agg.fold(agg.zero(), "ticket_daily", rows[:1])
+    >>> right = agg.fold(agg.zero(), "ticket_daily", rows[1:])
+    >>> spans = agg.finalize(agg.merge(left, right), {})
+    >>> spans["a.test"].max_span_days  # day 9 failed, so the span is 0..5
+    5
+    """
+
+    def __init__(self, name: str, channel: str, kind: str) -> None:
+        if kind not in ("stek", "dhe", "ecdhe"):
+            raise ValueError(f"unknown span kind {kind!r}")
+        self.name = name
+        self.channels = (channel,)
+        self.kind = kind
+
+    def _params(self) -> dict:
+        return {"kind": self.kind}
+
+    def zero(self) -> dict:
+        return {}
+
+    def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
+        kind = self.kind
+        for row in rows:
+            if not row["success"]:
+                continue
+            identifier = secret_value(row, kind)
+            if not identifier:
+                continue
+            by_id = state.setdefault(row["domain"], {})
+            entry = by_id.get(identifier)
+            if entry is None:
+                by_id[identifier] = [row["day"], row["day"], 1]
+            else:
+                if row["day"] > entry[1]:
+                    entry[1] = row["day"]
+                entry[2] += 1
+        return state
+
+    def merge(self, left: dict, right: dict) -> dict:
+        for domain, by_id in right.items():
+            left_ids = left.setdefault(domain, {})
+            for identifier, entry in by_id.items():
+                mine = left_ids.get(identifier)
+                if mine is None:
+                    left_ids[identifier] = entry
+                else:
+                    if entry[1] > mine[1]:
+                        mine[1] = entry[1]
+                    mine[2] += entry[2]
+        return left
+
+    def finalize(self, state: dict, meta: dict) -> dict:
+        result = {}
+        for domain, by_id in state.items():
+            entry = DomainSpans(domain=domain)
+            for identifier, (first, last, count) in by_id.items():
+                entry.spans.append(IdentifierSpan(
+                    domain=domain, identifier=identifier,
+                    first_day=first, last_day=last, observations=count,
+                ))
+            result[domain] = entry
+        return result
 
 
 def collect_spans(
     observations: Iterable[ScanObservation],
-    identifier_fn: Callable[[ScanObservation], Optional[str]],
+    kind: str,
     domains: Optional[set[str]] = None,
 ) -> dict[str, DomainSpans]:
-    """First/last-seen spans per (domain, identifier).
+    """First/last-seen spans per (domain, identifier) of ``kind``
+    (``"stek"``, ``"dhe"`` or ``"ecdhe"``).
 
     ``domains`` restricts the analysis (the paper restricts to domains
-    present in the Top Million every day of the study).
+    present in the Top Million every day of the study).  Accepts any
+    iterable (including a streamed dataset view) and never
+    materializes it.
     """
-    firsts: dict[tuple[str, str], int] = {}
-    lasts: dict[tuple[str, str], int] = {}
-    counts: dict[tuple[str, str], int] = {}
-    for observation in observations:
-        if not observation.success:
-            continue
-        if domains is not None and observation.domain not in domains:
-            continue
-        identifier = identifier_fn(observation)
-        if not identifier:
-            continue
-        key = (observation.domain, identifier)
-        if key not in firsts:
-            firsts[key] = observation.day
-        lasts[key] = max(lasts.get(key, observation.day), observation.day)
-        counts[key] = counts.get(key, 0) + 1
-    result: dict[str, DomainSpans] = {}
-    for (domain, identifier), first_day in firsts.items():
-        entry = result.setdefault(domain, DomainSpans(domain=domain))
-        entry.spans.append(
-            IdentifierSpan(
-                domain=domain,
-                identifier=identifier,
-                first_day=first_day,
-                last_day=lasts[(domain, identifier)],
-                observations=counts[(domain, identifier)],
-            )
-        )
-    return result
+    channel = "ticket_daily" if kind == "stek" else f"{kind}_daily"
+    spans = fold_records(SpanAggregate(f"{kind}_spans", channel, kind),
+                         observations)
+    if domains is None:
+        return spans
+    return {domain: entry for domain, entry in spans.items()
+            if domain in domains}
 
 
 def stek_spans(
@@ -120,22 +179,18 @@ def stek_spans(
     domains: Optional[set[str]] = None,
 ) -> dict[str, DomainSpans]:
     """STEK-identifier spans from the daily ticket scans (Fig. 3)."""
-    return collect_spans(observations, _extract_stek, domains)
+    return collect_spans(observations, "stek", domains)
 
 
 def kex_spans(
     observations: Iterable[ScanObservation],
     domains: Optional[set[str]] = None,
-    kind: Optional[str] = None,
+    *,
+    kind: str,
 ) -> dict[str, DomainSpans]:
-    """(EC)DHE-value spans from the daily key-exchange scans (Fig. 5).
-
-    Accepts any iterable (including a streamed dataset view) and never
-    materializes it: the ``kind`` filter is applied lazily.
-    """
-    if kind is not None:
-        observations = (o for o in observations if o.kex_kind == kind)
-    return collect_spans(observations, _extract_kex, domains)
+    """(EC)DHE-value spans from the daily key-exchange scans (Fig. 5),
+    counting only handshakes of ``kind`` (``"dhe"`` or ``"ecdhe"``)."""
+    return collect_spans(observations, kind, domains)
 
 
 def consecutive_spans(
@@ -218,6 +273,7 @@ def reuse_within_scan(observations: Iterable[ScanObservation]) -> dict[str, dict
 __all__ = [
     "IdentifierSpan",
     "DomainSpans",
+    "SpanAggregate",
     "collect_spans",
     "stek_spans",
     "kex_spans",

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from .aggregate import ShardAggregate, fold_records, secret_value
 from ..scanner.records import ScanObservation
 
 
@@ -43,28 +44,54 @@ class SupportWaterfall:
         ]
 
 
-def _per_domain_values(
-    observations: Iterable[ScanObservation], kind: str
-) -> tuple[dict[str, list[Optional[str]]], dict[str, bool]]:
-    """Per-domain secret values from successful connections, plus trust."""
-    values: dict[str, list[Optional[str]]] = {}
-    trusted: dict[str, bool] = {}
-    for observation in observations:
-        if not observation.success:
-            continue
-        trusted[observation.domain] = (
-            trusted.get(observation.domain, False) or observation.cert_trusted
-        )
-        if kind == "ticket":
-            value = observation.stek_id if observation.ticket_issued else None
-        else:
-            value = (
-                observation.kex_public
-                if observation.kex_kind == kind
-                else None
-            )
-        values.setdefault(observation.domain, []).append(value)
-    return values, trusted
+class SupportAggregate(ShardAggregate):
+    """Per-domain trust flag + secret-value tally from a support scan.
+
+    State: ``{domain: [browser_trusted, {value: count}]}`` over
+    successful connections — everything :func:`waterfall_from_tallies`
+    needs, without keeping per-connection value lists in memory.
+    """
+
+    def __init__(self, name: str, channel: str, kind: str) -> None:
+        if kind not in ("dhe", "ecdhe", "ticket"):
+            raise ValueError(f"unknown support kind {kind!r}")
+        self.name = name
+        self.channels = (channel,)
+        self.kind = kind
+
+    def _params(self) -> dict:
+        return {"kind": self.kind}
+
+    def zero(self) -> dict:
+        return {}
+
+    def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
+        kind = self.kind
+        for row in rows:
+            if not row["success"]:
+                continue
+            entry = state.setdefault(row["domain"], [False, {}])
+            if row["cert_trusted"]:
+                entry[0] = True
+            value = secret_value(row, kind)
+            if value:
+                entry[1][value] = entry[1].get(value, 0) + 1
+        return state
+
+    def merge(self, left: dict, right: dict) -> dict:
+        for domain, (trusted, tally) in right.items():
+            entry = left.setdefault(domain, [False, {}])
+            if trusted:
+                entry[0] = True
+            for value, count in tally.items():
+                entry[1][value] = entry[1].get(value, 0) + count
+        return left
+
+    def finalize(self, state: dict, meta: dict) -> dict:
+        return {
+            "trusted": {domain: bool(entry[0]) for domain, entry in state.items()},
+            "tallies": {domain: entry[1] for domain, entry in state.items()},
+        }
 
 
 def support_waterfall(
@@ -87,19 +114,13 @@ def support_waterfall(
     the trusted-domain population from a full scan.  Pass that set as
     ``trusted_domains`` for such sections.
     """
-    if kind not in ("dhe", "ecdhe", "ticket"):
-        raise ValueError(f"unknown support kind {kind!r}")
-    values, trusted = _per_domain_values(observations, kind)
-    tallies: dict[str, dict[str, int]] = {}
-    for domain, domain_values in values.items():
-        tally: dict[str, int] = {}
-        for value in domain_values:
-            if value:
-                tally[value] = tally.get(value, 0) + 1
-        tallies[domain] = tally
+    folded = fold_records(
+        SupportAggregate(f"{kind}_waterfall", f"{kind}_support", kind),
+        observations,
+    )
     return waterfall_from_tallies(
-        tallies, trusted, kind, list_size, non_blacklisted,
-        trusted_domains=trusted_domains,
+        folded["tallies"], folded["trusted"], kind, list_size,
+        non_blacklisted, trusted_domains=trusted_domains,
     )
 
 
@@ -116,9 +137,8 @@ def waterfall_from_tallies(
     ``tallies`` maps every domain that completed at least one
     connection to its counts of repeated secret values (may be empty
     for a domain that never presented one); ``trusted`` carries each
-    such domain's browser-trust flag.  This is the aggregated form the
-    streaming analysis engine folds per shard — the per-connection
-    value lists :func:`support_waterfall` sees never need to exist.
+    such domain's browser-trust flag: the finalized
+    :class:`SupportAggregate` state.
     """
     if kind not in ("dhe", "ecdhe", "ticket"):
         raise ValueError(f"unknown support kind {kind!r}")
@@ -149,4 +169,5 @@ def waterfall_from_tallies(
     )
 
 
-__all__ = ["SupportWaterfall", "support_waterfall", "waterfall_from_tallies"]
+__all__ = ["SupportWaterfall", "SupportAggregate", "support_waterfall",
+           "waterfall_from_tallies"]

@@ -1,4 +1,4 @@
-"""The analysis package's docstring examples must stay runnable.
+"""The analysis and aggregate modules' docstring examples must stay runnable.
 
 docs-check CI runs these via ``--doctest-modules``; this keeps them in
 tier 1 too, so a drifting docstring fails fast locally.
@@ -12,6 +12,7 @@ import repro.analysis.aggregates
 import repro.analysis.chunks
 import repro.analysis.engine
 import repro.analysis.reports
+import repro.core.spans
 
 
 @pytest.mark.parametrize("module", [
@@ -19,6 +20,7 @@ import repro.analysis.reports
     repro.analysis.aggregates,
     repro.analysis.engine,
     repro.analysis.reports,
+    repro.core.spans,
 ], ids=lambda m: m.__name__)
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module, verbose=False)
