@@ -4,10 +4,10 @@ The measurement pipeline's throughput ceiling is the pure-Python
 crypto underneath millions of simulated handshakes, so this harness
 tracks two layers on every PR:
 
-* **micro** — ops/sec of the primitives the scans lean on (AES blocks,
-  ticket seal/open under one STEK, CBC, RSA-CRT signing, EC scalar
-  multiplication and P-256 keygen, record serialization, full and
-  abbreviated handshakes);
+* **micro** — ops/sec of the primitives the scans lean on (DRBG draws,
+  HMAC-SHA-256, AES blocks, ticket seal/open under one STEK, CBC,
+  RSA-CRT signing, EC scalar multiplication and P-256 keygen, record
+  serialization, full and abbreviated handshakes);
 * **e2e** — wall-clock and grabs/sec for a small reference study run
   end-to-end through the sharded scan engine, plus a ``scale_study``
   section that pushes a large daily-sweep-only population through the
@@ -42,6 +42,7 @@ from typing import Callable, Optional
 
 from .crypto import ec, rsa
 from .crypto.aes import AES
+from .crypto.mac import hmac_sha256
 from .crypto.modes import cbc_decrypt, cbc_encrypt
 from .crypto.rng import DeterministicRandom
 from .scanner.records import ScanObservation
@@ -134,6 +135,13 @@ def run_micro(seconds: float) -> dict:
     """Primitive-level throughput measurements."""
     rng = DeterministicRandom(31415)
     results: dict[str, dict] = {}
+
+    # The DRBG behind every simulated nonce, key and secret: one 32-byte
+    # draw is one generate plus one update, three HMAC-SHA-256 calls.
+    drbg = DeterministicRandom("drbg")
+    results["drbg_random_bytes"] = _measure(lambda: drbg.random_bytes(32), seconds)
+    mac_key, mac_data = drbg.random_bytes(32), drbg.random_bytes(128)
+    results["hmac_sha256_128b"] = _measure(lambda: hmac_sha256(mac_key, mac_data), seconds)
 
     cipher = AES(rng.random_bytes(16))
     block = rng.random_bytes(16)

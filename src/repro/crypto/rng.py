@@ -14,8 +14,7 @@ experiments replayable.
 
 from __future__ import annotations
 
-import hmac
-from hmac import digest as _hmac_digest
+from .mac import hmac_sha256
 
 
 class DeterministicRandom:
@@ -33,6 +32,8 @@ class DeterministicRandom:
 
     def __init__(self, seed: bytes | str | int) -> None:
         if isinstance(seed, int):
+            if seed < 0:
+                raise ValueError("integer seed must be non-negative")
             seed = seed.to_bytes((seed.bit_length() + 7) // 8 or 1, "big")
         elif isinstance(seed, str):
             seed = seed.encode("utf-8")
@@ -41,16 +42,12 @@ class DeterministicRandom:
         self._update(seed)
         self.bytes_generated = 0
 
-    def _hmac(self, key: bytes, data: bytes) -> bytes:
-        # One-shot fast path; byte-identical to hmac.new(...).digest().
-        return hmac.digest(key, data, "sha256")
-
     def _update(self, provided: bytes | None) -> None:
-        self._key = self._hmac(self._key, self._value + b"\x00" + (provided or b""))
-        self._value = self._hmac(self._key, self._value)
+        self._key = hmac_sha256(self._key, self._value + b"\x00" + (provided or b""))
+        self._value = hmac_sha256(self._key, self._value)
         if provided:
-            self._key = self._hmac(self._key, self._value + b"\x01" + provided)
-            self._value = self._hmac(self._key, self._value)
+            self._key = hmac_sha256(self._key, self._value + b"\x01" + provided)
+            self._value = hmac_sha256(self._key, self._value)
 
     def reseed(self, data: bytes) -> None:
         """Mix additional entropy (e.g. a domain name) into the state."""
@@ -60,27 +57,26 @@ class DeterministicRandom:
         """Return ``n`` uniformly random bytes."""
         # Hottest function in a full-ecosystem scan (two nonces plus the
         # derived draws per handshake), so the HMAC-DRBG generate+update
-        # sequence is inlined against the one-shot ``hmac.digest``.  The
-        # state transitions are byte-identical to the readable
-        # ``_hmac``/``_update`` formulation used everywhere else.
+        # sequence is inlined.  The state transitions are byte-identical
+        # to the readable ``_update`` formulation used everywhere else.
         if n < 0:
             raise ValueError("cannot generate a negative number of bytes")
         key = self._key
         if 0 < n <= self._HASH_LEN:
-            value = _hmac_digest(key, self._value, "sha256")
+            value = hmac_sha256(key, self._value)
             out = value[:n]
         else:  # n == 0 leaves the value chain unadvanced, as the loop does
             chunks = []
             value = self._value
             total = 0
             while total < n:
-                value = _hmac_digest(key, value, "sha256")
+                value = hmac_sha256(key, value)
                 chunks.append(value)
                 total += self._HASH_LEN
             out = b"".join(chunks)[:n]
         # _update(None): re-key, then advance the value chain.
-        self._key = key = _hmac_digest(key, value + b"\x00", "sha256")
-        self._value = _hmac_digest(key, value, "sha256")
+        self._key = key = hmac_sha256(key, value + b"\x00")
+        self._value = hmac_sha256(key, value)
         self.bytes_generated += n
         return out
 
@@ -117,6 +113,8 @@ class DeterministicRandom:
     def sample(self, seq, k: int) -> list:
         """Return ``k`` distinct elements sampled without replacement."""
         n = len(seq)
+        if k < 0:
+            raise ValueError("sample size must be non-negative")
         if k > n:
             raise ValueError("sample larger than population")
         indices = list(range(n))
@@ -151,7 +149,7 @@ class DeterministicRandom:
         other's streams, which keeps results stable when one subsystem
         changes how much randomness it uses.
         """
-        child_seed = self._hmac(self._key, b"fork:" + label.encode("utf-8"))
+        child_seed = hmac_sha256(self._key, b"fork:" + label.encode("utf-8"))
         return DeterministicRandom(child_seed)
 
 

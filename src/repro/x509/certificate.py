@@ -15,7 +15,7 @@ measurement logic consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from ..crypto.mac import sha256
@@ -148,6 +148,19 @@ class X509Certificate:
         return self.data.not_before <= now <= self.data.not_after
 
 
+# An ecosystem build signs the same certificates every time it runs with
+# the same config, and a sharded study builds once per shard in one
+# process.  The signature is a pure function of (issuer key, TBS bytes),
+# so the memo cannot change a byte.  It is not a registered process
+# cache (the per-shard reset would defeat it) and keeps no counters, so
+# merged metrics cannot depend on it.  The bound covers one build of a
+# ~10k-domain ecosystem (about 1.2 certificates per domain) while
+# capping resident memory at a few MiB of TBS bytes for larger ones.
+@lru_cache(maxsize=16384)
+def _signature(private_key: RSAPrivateKey, tbs: bytes) -> int:
+    return private_key.sign(tbs)
+
+
 @dataclass
 class CertificateAuthority:
     """A simulated CA that mints leaf certificates."""
@@ -181,7 +194,8 @@ class CertificateAuthority:
             public_key=subject_key,
         )
         self.next_serial += 1
-        return X509Certificate(data=data, signature=self.private_key.sign(data.tbs_bytes()))
+        signature = _signature(self.private_key, data.tbs_bytes())
+        return X509Certificate(data=data, signature=signature)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The analysis and aggregate modules' docstring examples must stay runnable.
+"""The analysis, aggregate and crypto modules' docstring examples must stay runnable.
 
 docs-check CI runs these via ``--doctest-modules``; this keeps them in
 tier 1 too, so a drifting docstring fails fast locally.
@@ -13,6 +13,8 @@ import repro.analysis.chunks
 import repro.analysis.engine
 import repro.analysis.reports
 import repro.core.spans
+import repro.crypto.aes
+import repro.crypto.mac
 
 
 @pytest.mark.parametrize("module", [
@@ -21,6 +23,8 @@ import repro.core.spans
     repro.analysis.engine,
     repro.analysis.reports,
     repro.core.spans,
+    repro.crypto.aes,
+    repro.crypto.mac,
 ], ids=lambda m: m.__name__)
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module, verbose=False)

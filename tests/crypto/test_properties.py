@@ -1,9 +1,12 @@
 """Property-based tests (hypothesis) for the crypto substrate."""
 
+import hmac
+
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import ec
 from repro.crypto.aes import AES
+from repro.crypto.mac import hmac_sha256
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_xor, pkcs7_pad, pkcs7_unpad
 from repro.crypto.prf import p_sha256
 from repro.crypto.rng import DeterministicRandom
@@ -96,3 +99,9 @@ def test_rng_reproducibility(seed, n):
 def test_rng_randbelow_in_range(seed, upper):
     value = DeterministicRandom(seed).randbelow(upper)
     assert 0 <= value < upper
+
+
+@given(key=st.binary(max_size=200), data=st.binary(max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_hmac_sha256_matches_stdlib_hmac(key, data):
+    assert hmac_sha256(key, data) == hmac.new(key, data, "sha256").digest()

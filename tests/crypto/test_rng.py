@@ -1,5 +1,8 @@
 """Tests for the deterministic HMAC-DRBG."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro.crypto.rng import DeterministicRandom
@@ -90,6 +93,16 @@ def test_sample_without_replacement():
     assert set(picked) <= set(population)
 
 
+def test_sample_negative_size_rejected():
+    with pytest.raises(ValueError):
+        DeterministicRandom(1).sample([1, 2], -1)
+
+
+def test_negative_int_seed_rejected():
+    with pytest.raises(ValueError):
+        DeterministicRandom(-1)
+
+
 def test_sample_too_large():
     with pytest.raises(ValueError):
         DeterministicRandom(1).sample([1, 2], 3)
@@ -153,3 +166,86 @@ def test_bytes_generated_counter():
     rng.random_bytes(10)
     rng.random_bytes(20)
     assert rng.bytes_generated == 30
+
+
+# --- an independent, spec-level HMAC-DRBG --------------------------------
+
+
+def _hmac(key, data):
+    return hmac.new(key, data, "sha256").digest()
+
+
+class ReferenceDRBG:
+    """HMAC-DRBG update/generate (NIST SP 800-90A 10.1.2), no reseed counter."""
+
+    def __init__(self, seed: bytes):
+        self.key, self.value = b"\x00" * 32, b"\x01" * 32
+        self.update(seed)
+
+    def update(self, provided=b""):
+        self.key = _hmac(self.key, self.value + b"\x00" + provided)
+        self.value = _hmac(self.key, self.value)
+        if provided:
+            self.key = _hmac(self.key, self.value + b"\x01" + provided)
+            self.value = _hmac(self.key, self.value)
+
+    def generate(self, n):
+        out = b""
+        while len(out) < n:
+            self.value = _hmac(self.key, self.value)
+            out += self.value
+        self.update()
+        return out[:n]
+
+    def random_int(self, bits):
+        nbytes = (bits + 7) // 8
+        return int.from_bytes(self.generate(nbytes), "big") >> (nbytes * 8 - bits)
+
+    def randbelow(self, upper):
+        while (candidate := self.random_int(upper.bit_length())) >= upper:
+            pass
+        return candidate
+
+    def fork(self, label):
+        return ReferenceDRBG(_hmac(self.key, b"fork:" + label.encode()))
+
+
+SEEDS = [  # (seed, the bytes the DRBG is instantiated with)
+    (0, b"\x00"),
+    (1, b"\x01"),
+    (258, b"\x01\x02"),
+    ("abc", b"abc"),
+    ("\u00e9", b"\xc3\xa9"),
+    (b"", b""),
+    (b"\xff" * 70, b"\xff" * 70),
+]
+
+
+@pytest.mark.parametrize("seed, seed_bytes", SEEDS, ids=repr)
+def test_matches_reference_drbg_draw_for_draw(seed, seed_bytes):
+    real, ref = DeterministicRandom(seed), ReferenceDRBG(seed_bytes)
+    for n in (0, 1, 16, 31, 32, 33, 48, 64, 1000):
+        assert real.random_bytes(n) == ref.generate(n), n
+    for data in (b"example.com", b""):
+        real.reseed(data)
+        ref.update(data)
+        assert real.random_bytes(32) == ref.generate(32)
+    for bits in (1, 7, 8, 9, 64, 257):
+        assert real.random_int(bits) == ref.random_int(bits), bits
+    for upper in (1, 2, 5, 1000, 2**61 - 1):
+        assert real.randbelow(upper) == ref.randbelow(upper), upper
+    child, ref_child = real.fork("servers"), ref.fork("servers")
+    assert child.random_bytes(48) == ref_child.generate(48)
+    assert real.random_bytes(33) == ref.generate(33)  # forking left the parent alone
+
+
+# sha256 of random_bytes(4096) from a fresh generator.  These pin the
+# stream itself, not just its agreement with a second instance.
+@pytest.mark.parametrize("seed, digest", [
+    (1, "e6072663d9476809373be49e369cc0aa8b83d0e7c064639a1d388f4d1ac9ba71"),
+    ("abc", "8d387358152493cbf5bed25e92db51ef3047cc54245f6fe309d72cf4f1bca105"),
+    (b"", "8f14a22c9576380bc7939e231759cf01291789f58d9c0306a8474b38d44d7391"),
+], ids=repr)
+def test_first_4k_of_the_stream_is_pinned(seed, digest):
+    stream = DeterministicRandom(seed).random_bytes(4096)
+    assert hashlib.sha256(stream).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Ecosystem builder and dynamics tests."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,8 @@ from repro.hosting.notable import NOTABLE_DOMAINS
 from repro.netsim.clock import DAY
 from repro.obs.metrics import METRICS, reset_process_caches
 from repro.scanner import StudyConfig, run_study_with_stats
+from repro.x509 import CertificateAuthority
+from repro.x509.certificate import _signature
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +269,31 @@ def test_sharded_study_generates_the_pki_once(monkeypatch):
     assert len(calls) == 3 + config.key_pool_size  # 51, not 5 builds x 51
 
 
+def test_sharded_study_signs_each_certificate_once(monkeypatch):
+    real_issue, real_sign = CertificateAuthority.issue, rsa.RSAPrivateKey.sign
+    issued, signed = [], []
+
+    def counting_issue(self, *args, **kwargs):
+        certificate = real_issue(self, *args, **kwargs)
+        issued.append(certificate.data.tbs_bytes())
+        return certificate
+
+    def counting_sign(self, message):
+        signed.append(message)
+        return real_sign(self, message)
+
+    monkeypatch.setattr(CertificateAuthority, "issue", counting_issue)
+    monkeypatch.setattr(rsa.RSAPrivateKey, "sign", counting_sign)
+    _signature.cache_clear()
+    config = EcosystemConfig(population=320, seed=13)
+    run_study_with_stats(build_ecosystem(config), _tiny_study(), shards=4, workers=1)
+    certificates = set(issued)
+    assert len(issued) == 5 * len(certificates)  # the same certificates, 5 builds
+    # Handshake signatures also go through sign(); count only the TBS.
+    signatures = Counter(message for message in signed if message in certificates)
+    assert signatures == dict.fromkeys(certificates, 1)
+
+
 def test_cold_and_warm_key_cache_give_identical_studies(tmp_path):
     ecosystem = build_ecosystem(EcosystemConfig(population=320, seed=17))
     digests = {}
@@ -273,6 +301,7 @@ def test_cold_and_warm_key_cache_give_identical_studies(tmp_path):
         for state in ("cold", "warm"):
             if state == "cold":
                 _pki_keys.cache_clear()
+                _signature.cache_clear()
             stream = tmp_path / f"{state}-{workers}"
             run_study_with_stats(
                 ecosystem, _tiny_study(), shards=2, workers=workers,

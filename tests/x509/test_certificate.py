@@ -5,6 +5,7 @@ import pytest
 from repro.crypto import rsa
 from repro.crypto.rng import DeterministicRandom
 from repro.x509 import CertificateAuthority, TrustStore, X509Certificate
+from repro.x509.certificate import _signature
 
 RNG = DeterministicRandom(123)
 CA = CertificateAuthority("Root CA", rsa.generate_keypair(512, RNG))
@@ -131,3 +132,33 @@ def test_trust_store_introspection():
     assert store.trusts("Root CA")
     assert not store.trusts("Nobody")
     assert store.root_names() == ["Other CA", "Root CA"]
+
+
+def _issue_serial(ca, serial):
+    ca.next_serial = serial
+    return ca.issue(["memo.example"], LEAF_KEY.public, 0, 100)
+
+
+def test_signature_memo_hit_equals_a_fresh_signature():
+    _signature.cache_clear()
+    ca = CertificateAuthority("Memo CA", CA.private_key)
+    first = _issue_serial(ca, 7)
+    hits = _signature.cache_info().hits
+    second = _issue_serial(ca, 7)
+    assert _signature.cache_info().hits == hits + 1
+    assert second == first
+    assert second.signature == CA.private_key.sign(second.data.tbs_bytes())
+
+
+def test_signature_memo_misses_on_a_new_serial_or_key():
+    _signature.cache_clear()
+    ca = CertificateAuthority("Memo CA", CA.private_key)
+    base = _issue_serial(ca, 11)
+    misses = _signature.cache_info().misses
+    bumped = _issue_serial(ca, 12)
+    other_key = _issue_serial(CertificateAuthority("Memo CA", OTHER_CA.private_key), 11)
+    assert _signature.cache_info().misses == misses + 2
+    assert bumped.signature == CA.private_key.sign(bumped.data.tbs_bytes())
+    assert other_key.data.tbs_bytes() == base.data.tbs_bytes()
+    assert other_key.signature == OTHER_CA.private_key.sign(base.data.tbs_bytes())
+    assert other_key.signature != base.signature
