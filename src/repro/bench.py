@@ -163,6 +163,12 @@ def run_micro(seconds: float) -> dict:
     results["ticket_seal"] = _measure(
         lambda: seal_ticket(stek, session, seal_rng), seconds
     )
+    # What a scan pays per issued ticket: IV draw, state encoding and
+    # cleartext head; the body is sealed only when its bytes are used.
+    store, issue_rng = STEKStore(stek), DeterministicRandom(998)
+    results["ticket_issue"] = _measure(
+        lambda: store.issue(session, issue_rng), seconds
+    )
     ticket = seal_ticket(stek, session, DeterministicRandom(1000))
     results["ticket_open"] = _measure(lambda: open_ticket(stek, ticket), seconds)
 

@@ -264,18 +264,26 @@ class Ecosystem:
 
     def ground_truth_stek_groups(self) -> dict[int, list[str]]:
         """Domains grouped by the identity of their STEK store."""
-        groups: dict[int, list[str]] = {}
-        for domain in self.domains:
-            if domain.stek_store is not None:
-                groups.setdefault(id(domain.stek_store), []).append(domain.name)
-        return groups
+        return self._group_by_shared("stek_store")
 
     def ground_truth_cache_groups(self) -> dict[int, list[str]]:
         """Domains grouped by the identity of their session cache."""
+        return self._group_by_shared("session_cache")
+
+    def _group_by_shared(self, attribute: str) -> dict[int, list[str]]:
+        """Group domains sharing one ``attribute`` object.
+
+        Each group is keyed by the index in :attr:`domains` of its first
+        member, so the keys are the same in every build of one config
+        (``id()`` keys differ between processes).
+        """
+        group_of: dict[int, int] = {}  # id(shared object) -> group key
         groups: dict[int, list[str]] = {}
-        for domain in self.domains:
-            if domain.session_cache is not None:
-                groups.setdefault(id(domain.session_cache), []).append(domain.name)
+        for index, domain in enumerate(self.domains):
+            shared = getattr(domain, attribute)
+            if shared is not None:
+                key = group_of.setdefault(id(shared), index)
+                groups.setdefault(key, []).append(domain.name)
         return groups
 
 

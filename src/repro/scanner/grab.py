@@ -44,7 +44,7 @@ from ..tls.constants import KeyExchangeKind
 from ..tls.fastpath import fast_handshake
 from ..tls.server import TLSServer
 from ..tls.session import SessionState
-from ..tls.ticket import sniff_ticket_format, extract_key_name
+from ..tls.ticket import Ticket, extract_key_name, sniff_ticket_format
 from ..tls.wire import DecodeError
 from .records import ScanObservation
 
@@ -132,7 +132,7 @@ class ZGrabber:
         domain: str,
         offer: tuple[CipherSuite, ...] = MODERN_BROWSER_OFFER,
         session_id: bytes = b"",
-        ticket: bytes = b"",
+        ticket: Ticket = b"",
         saved_session: Optional[SessionState] = None,
         offer_tickets: bool = True,
         capture: bool = False,

@@ -23,6 +23,7 @@ from ..netsim.clock import HOUR, MINUTE
 from ..netsim.eventloop import EventLoop, Wait
 from ..tls.ciphers import CipherSuite, MODERN_BROWSER_OFFER
 from ..tls.session import SessionState
+from ..tls.ticket import Ticket
 from .grab import ZGrabber
 from .records import ResumptionProbeResult
 
@@ -47,7 +48,7 @@ class _ProbeState:
     result: ResumptionProbeResult
     session: Optional[SessionState] = None
     session_id: bytes = b""
-    ticket: bytes = b""
+    ticket: Ticket = b""
     started_at: float = 0.0
     attempt_count: int = 0
 

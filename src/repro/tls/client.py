@@ -55,6 +55,7 @@ from .messages import (
 )
 from .record import RecordCipher, handshake_record, new_record_cipher, parse_records, serialize_records
 from .session import SessionState, derive_connection_keys
+from .ticket import Ticket
 from .wire import DecodeError
 
 
@@ -140,7 +141,7 @@ class TLSClient:
         server_name: str = "",
         offer: tuple[CipherSuite, ...] = MODERN_BROWSER_OFFER,
         session_id: bytes = b"",
-        ticket: bytes = b"",
+        ticket: Ticket = b"",
         saved_session: Optional[SessionState] = None,
         offer_tickets: bool = True,
         capture: bool = False,
@@ -193,7 +194,7 @@ class TLSClient:
         server_name: str,
         offer: tuple[CipherSuite, ...],
         session_id: bytes,
-        ticket: bytes,
+        ticket: Ticket,
         saved_session: Optional[SessionState],
         offer_tickets: bool,
         capture: bool,
@@ -291,7 +292,7 @@ class TLSClient:
         messages: list,
         saved_session: Optional[SessionState],
         offered_session_id: bytes,
-        offered_ticket: bytes,
+        offered_ticket: Ticket,
         transcript: bytes,
         capture: bool,
         result: HandshakeResult,

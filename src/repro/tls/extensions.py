@@ -9,10 +9,13 @@ supported-groups / point-format extensions that gate ECDHE.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .constants import ExtensionType
 from .wire import ByteReader, ByteWriter, DecodeError
+
+if TYPE_CHECKING:
+    from .ticket import Ticket
 
 Extension = tuple[int, bytes]
 
@@ -91,9 +94,9 @@ def decode_server_name(data: bytes) -> str:
 
 # --- session_ticket (RFC 5077 §3.2) -----------------------------------
 
-def encode_session_ticket(ticket: bytes = b"") -> Extension:
+def encode_session_ticket(ticket: Ticket = b"") -> Extension:
     """The session-ticket extension body is the raw ticket (or empty)."""
-    return (ExtensionType.SESSION_TICKET, ticket)
+    return (ExtensionType.SESSION_TICKET, bytes(ticket))
 
 
 def decode_session_ticket(data: bytes) -> bytes:

@@ -29,13 +29,17 @@ tests enforce it):
   seal IV.
 
 Master secrets are replaced by one placeholder value: they never
-appear in dataset bytes, Finished verification succeeds identically
-(both sides derive from the same session state), and sealed tickets
-keep their exact wire length (the state is still really sealed, so
-STEK identities and ticket formats stay observable).  Connections that
-need real transcripts — captures for the passive adversary, or
-fault-injected flights whose error strings depend on record structure
-— are delegated to the blocking oracle by the grabber.
+appear in dataset bytes, and Finished verification succeeds
+identically (both sides derive from the same session state).  Tickets
+are issued as :class:`~repro.tls.ticket.SealedTicket` values: the IV
+is drawn and the cleartext head (STEK identity, framing, exact wire
+length) fixed at issue, and the state is encrypted only if the
+ticket's bytes are needed — on resumption, which opens the real
+sealed bytes, or never on a scan that only reads the head.
+Connections that need real transcripts — captures for the passive
+adversary, or fault-injected flights whose error strings depend on
+record structure — are delegated to the blocking oracle by the
+grabber.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .errors import HandshakeFailure, TLSError
 from .messages import NewSessionTicket
 from .server import TLSServer
 from .session import SessionState
+from .ticket import SealedTicket, Ticket
 from .wire import DecodeError
 
 #: Stand-in master secret (48 bytes, like the PRF output).  Used
@@ -91,7 +96,7 @@ def fast_handshake(
     server_name: str = "",
     offer: tuple[CipherSuite, ...] = MODERN_BROWSER_OFFER,
     session_id: bytes = b"",
-    ticket: bytes = b"",
+    ticket: Ticket = b"",
     saved_session: Optional[SessionState] = None,
     offer_tickets: bool = True,
 ) -> HandshakeResult:
@@ -121,7 +126,7 @@ def _exchange(
     server_name: str,
     offer: tuple[CipherSuite, ...],
     session_id: bytes,
-    ticket: bytes,
+    ticket: Ticket,
     saved_session: Optional[SessionState],
     offer_tickets: bool,
     result: HandshakeResult,
@@ -167,7 +172,7 @@ def _abbreviated(
     session: SessionState,
     via: str,
     offered_session_id: bytes,
-    ticket: bytes,
+    ticket: Ticket,
     saved_session: Optional[SessionState],
     offer_tickets: bool,
     now: float,
@@ -188,7 +193,7 @@ def _abbreviated(
         new_session_id = server._rng.random_bytes(SESSION_ID_LENGTH)
     else:
         new_session_id = b""
-    fresh_ticket: Optional[bytes] = None
+    fresh_ticket: Optional[SealedTicket] = None
     if reissue:
         assert config.stek_store is not None
         fresh_ticket = config.stek_store.issue(session, server._rng, now=now)
@@ -221,7 +226,7 @@ def _full(
     suite: CipherSuite,
     certificate,
     server_name: str,
-    ticket: bytes,
+    ticket: Ticket,
     offer_tickets: bool,
     now: float,
     result: HandshakeResult,
@@ -290,7 +295,7 @@ def _full(
     )
     if config.session_cache is not None and new_session_id:
         config.session_cache.store(new_session_id, session, now)
-    new_ticket: Optional[bytes] = None
+    new_ticket: Optional[SealedTicket] = None
     if will_issue_ticket:
         assert config.stek_store is not None
         new_ticket = config.stek_store.issue(session, srng, now=now)

@@ -10,7 +10,7 @@ stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .constants import (
     HandshakeType,
@@ -21,6 +21,9 @@ from .constants import (
 from .ciphers import CipherSuite, SUITES_BY_CODE
 from .extensions import Extension, decode_extensions, encode_extensions
 from .wire import ByteReader, ByteWriter, DecodeError
+
+if TYPE_CHECKING:
+    from .ticket import Ticket
 
 
 @dataclass
@@ -276,10 +279,14 @@ class ClientKeyExchange:
 
 @dataclass
 class NewSessionTicket:
-    """NewSessionTicket (RFC 5077 §3.3): lifetime hint + opaque ticket."""
+    """NewSessionTicket (RFC 5077 §3.3): lifetime hint + opaque ticket.
+
+    The fast path hands over the issued :class:`~repro.tls.ticket.SealedTicket`
+    unserialized; only bytes are ever serialized.
+    """
 
     lifetime_hint_seconds: int
-    ticket: bytes
+    ticket: Ticket
 
     handshake_type = HandshakeType.NEW_SESSION_TICKET
 

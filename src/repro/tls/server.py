@@ -69,7 +69,7 @@ from .messages import (
 )
 from .record import RecordCipher, handshake_record, new_record_cipher, parse_records, serialize_records
 from .session import SessionCache, SessionState, derive_connection_keys
-from .ticket import STEKStore, TicketFormat
+from .ticket import STEKStore, Ticket, TicketFormat
 from .wire import DecodeError
 
 # Per-server static flight parts.  ServerHelloDone is always the same
@@ -280,7 +280,7 @@ class TLSServer:
         return self.resume_lookup(ticket or b"", client_hello.session_id, now)
 
     def resume_lookup(
-        self, ticket: bytes, session_id: bytes, now: float
+        self, ticket: Ticket, session_id: bytes, now: float
     ) -> tuple[Optional[SessionState], Optional[str]]:
         """RFC 5077 §3.4: a non-empty ticket takes precedence over the ID.
 
@@ -350,7 +350,8 @@ class TLSServer:
             parts.append(
                 serialize_handshake(
                     NewSessionTicket(
-                        lifetime_hint_seconds=policy.lifetime_hint_seconds, ticket=fresh
+                        lifetime_hint_seconds=policy.lifetime_hint_seconds,
+                        ticket=bytes(fresh),
                     )
                 )
             )
@@ -503,7 +504,7 @@ class TLSServer:
                 serialize_handshake(
                     NewSessionTicket(
                         lifetime_hint_seconds=self.config.ticket_policy.lifetime_hint_seconds,
-                        ticket=ticket,
+                        ticket=bytes(ticket),
                     )
                 )
             )

@@ -19,13 +19,21 @@ format sniffing is exercised.
 Crucially, tickets here are *really encrypted*: an attacker object that
 steals the STEK decrypts recorded tickets and recovers master secrets,
 which is the paper's §6.1/§7 threat made executable.
+
+A server issues a :class:`SealedTicket`: the IV is drawn, the session
+state encoded and the cleartext head (framing, ``key_name``, IV, body
+length) built at issue, while the AES-CBC body and the HMAC are
+computed once, the first time the ticket's bytes are needed (wire
+serialization, resumption, an attacker's ``open_ticket``).  A scan
+that only reads the ``key_name`` never pays for the encryption, and
+the bytes are the same whenever they are produced (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
 from ..crypto.aes import AES
 from ..crypto.mac import constant_time_equal, hmac_sha256
@@ -193,14 +201,76 @@ def _decode_state(plaintext: bytes) -> TicketContents:
     return TicketContents(session=session, issued_at=issued_at)
 
 
-def seal_ticket(
+class SealedTicket:
+    """An issued ticket whose encrypted body is computed on first use.
+
+    Everything a scanner can observe is fixed at issue: the cleartext
+    :attr:`head` (SChannel header, ``key_name``, IV, u16 body length)
+    and the total length.  The state is held as its encoded plaintext,
+    an immutable snapshot, together with the STEK's expanded cipher and
+    HMAC key, so ``bytes(ticket)`` is the same whenever it is first
+    called: after a STEK rotation, after a process-cache reset, or
+    never.  The sealed bytes are memoized; equality and hashing are
+    those of the bytes.
+    """
+
+    __slots__ = (
+        "_head", "_name_at", "_length", "_cipher", "_hmac_key", "_plaintext", "_sealed",
+    )
+
+    def __init__(
+        self,
+        header: bytes,
+        key_name: bytes,
+        iv: bytes,
+        cipher: AES,
+        hmac_key: bytes,
+        plaintext: bytes,
+    ) -> None:
+        # PKCS#7 always adds 1..16 bytes: the body is the next multiple of 16.
+        body_len = (len(plaintext) // 16 + 1) * 16
+        self._head = b"".join((header, key_name, iv, body_len.to_bytes(2, "big")))
+        self._name_at = len(header)
+        self._length = len(self._head) + body_len + 32
+        self._cipher = cipher
+        self._hmac_key = hmac_key
+        self._plaintext = plaintext
+        self._sealed: Optional[bytes] = None
+
+    @property
+    def head(self) -> bytes:
+        """The cleartext prefix: everything before the encrypted state."""
+        return self._head
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __bytes__(self) -> bytes:
+        sealed = self._sealed
+        if sealed is None:
+            head = self._head  # [header] | key_name | iv(16) | u16 body length
+            encrypted = cbc_encrypt_with(self._cipher, head[-18:-2], self._plaintext)
+            mac = hmac_sha256(self._hmac_key, head[self._name_at : -2] + encrypted)
+            sealed = self._sealed = head + encrypted + mac
+        return sealed
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (SealedTicket, bytes)):
+            return bytes(self) == bytes(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(bytes(self))
+
+
+def issue_ticket(
     stek: STEK,
     session: SessionState,
     rng: DeterministicRandom,
     ticket_format: TicketFormat = TicketFormat.RFC5077,
     issued_at: float | None = None,
-) -> bytes:
-    """Encrypt session state into a ticket under ``stek``."""
+) -> SealedTicket:
+    """Issue a ticket under ``stek``: draw its IV, defer its encryption."""
     expected_name_len = _KEY_NAME_LENGTH[ticket_format]
     if len(stek.key_name) != expected_name_len:
         raise ValueError(
@@ -210,21 +280,38 @@ def seal_ticket(
         issued_at = session.created_at
     _SEAL.value += 1
     iv = rng.random_bytes(16)
-    encrypted = cbc_encrypt_with(stek.cipher, iv, _encode_state(session, issued_at))
-    mac = hmac_sha256(stek.hmac_key, stek.key_name + iv + encrypted)
+    cipher = stek.cipher
+    plaintext = _encode_state(session, issued_at)
     header = _SCHANNEL_HEADER if ticket_format is TicketFormat.SCHANNEL else b""
-    return b"".join(
-        (header, stek.key_name, iv, len(encrypted).to_bytes(2, "big"), encrypted, mac)
-    )
+    return SealedTicket(header, stek.key_name, iv, cipher, stek.hmac_key, plaintext)
 
 
-def extract_key_name(ticket: bytes, ticket_format: TicketFormat) -> bytes:
+def seal_ticket(
+    stek: STEK,
+    session: SessionState,
+    rng: DeterministicRandom,
+    ticket_format: TicketFormat = TicketFormat.RFC5077,
+    issued_at: float | None = None,
+) -> bytes:
+    """Encrypt session state into a ticket under ``stek``."""
+    return bytes(issue_ticket(stek, session, rng, ticket_format, issued_at))
+
+
+Ticket = Union[bytes, SealedTicket]
+
+
+def _head(ticket: Ticket) -> bytes:
+    return ticket.head if isinstance(ticket, SealedTicket) else ticket
+
+
+def extract_key_name(ticket: Ticket, ticket_format: TicketFormat) -> bytes:
     """Read the cleartext STEK identifier out of a ticket.
 
     This is the scanner-side primitive behind the paper's §4.3 STEK
-    lifetime measurement: no keys are needed, only the framing.
+    lifetime measurement: no keys are needed, only the framing.  A
+    :class:`SealedTicket` is read from its head and never encrypted.
     """
-    reader = ByteReader(ticket)
+    reader = ByteReader(_head(ticket))
     if ticket_format is TicketFormat.SCHANNEL:
         header = reader.raw(len(_SCHANNEL_HEADER))
         if header != _SCHANNEL_HEADER:
@@ -232,37 +319,49 @@ def extract_key_name(ticket: bytes, ticket_format: TicketFormat) -> bytes:
     return reader.raw(_KEY_NAME_LENGTH[ticket_format])
 
 
-def sniff_ticket_format(ticket: bytes) -> TicketFormat:
-    """Guess a ticket's framing from its structure.
+def sniff_ticket_format(ticket: Ticket) -> TicketFormat:
+    """Guess a ticket's framing from its structure (see :func:`sniff_ticket_head`)."""
+    return sniff_ticket_head(_head(ticket), len(ticket))
+
+
+def sniff_ticket_head(head: bytes, length: int) -> TicketFormat:
+    """Guess a ticket's framing from a prefix of it and its total length.
 
     SChannel blobs carry a distinctive header; otherwise we try the
     RFC 5077 16-byte layout and fall back to mbedTLS's 4-byte one by
-    checking which layout's length bookkeeping is self-consistent.
+    checking which layout's length bookkeeping is self-consistent.  A
+    layout whose length field lies beyond ``head`` is not a match.
+    That never changes the answer for a well-formed mbedTLS ticket,
+    whose bytes 32-33 (ciphertext) can never pass the RFC 5077 check:
+    it would need a body of ``E - 12`` bytes with both that and the
+    real body length ``E`` multiples of 16.
     """
-    if ticket.startswith(_SCHANNEL_HEADER):
+    if head.startswith(_SCHANNEL_HEADER):
         return TicketFormat.SCHANNEL
     for candidate in (TicketFormat.RFC5077, TicketFormat.MBEDTLS):
         name_len = _KEY_NAME_LENGTH[candidate]
         # layout: name | iv(16) | len(2) | enc | mac(32)
-        if len(ticket) < name_len + 16 + 2 + 32:
+        if length < name_len + 16 + 2 + 32 or len(head) < name_len + 18:
             continue
-        enc_len = int.from_bytes(ticket[name_len + 16 : name_len + 18], "big")
-        if name_len + 16 + 2 + enc_len + 32 == len(ticket) and enc_len % 16 == 0:
+        enc_len = int.from_bytes(head[name_len + 16 : name_len + 18], "big")
+        if name_len + 16 + 2 + enc_len + 32 == length and enc_len % 16 == 0:
             return candidate
     raise DecodeError("unrecognized ticket format")
 
 
 def open_ticket(
     stek: STEK,
-    ticket: bytes,
+    ticket: Ticket,
     ticket_format: TicketFormat = TicketFormat.RFC5077,
 ) -> Optional[TicketContents]:
     """Authenticate and decrypt a ticket; None if not sealed by ``stek``.
 
     Verifies the key name, the HMAC, and the padding before returning
     state — the same checks a careful server performs, and the same
-    operation an attacker performs with a *stolen* STEK.
+    operation an attacker performs with a *stolen* STEK.  A
+    :class:`SealedTicket` is opened from its real sealed bytes.
     """
+    ticket = bytes(ticket)
     offset = 0
     if ticket_format is TicketFormat.SCHANNEL:
         if not ticket.startswith(_SCHANNEL_HEADER):
@@ -342,12 +441,12 @@ class STEKStore:
 
     def issue(
         self, session: SessionState, rng: DeterministicRandom, now: float | None = None
-    ) -> bytes:
-        """Seal a ticket under the current issuing key."""
+    ) -> SealedTicket:
+        """Issue a ticket under the current issuing key (sealed on first use)."""
         self.issued_count += 1
-        return seal_ticket(self._current, session, rng, self.ticket_format, issued_at=now)
+        return issue_ticket(self._current, session, rng, self.ticket_format, issued_at=now)
 
-    def open(self, ticket: bytes) -> Optional[TicketContents]:
+    def open(self, ticket: Ticket) -> Optional[TicketContents]:
         """Try current and retained keys in order."""
         for stek in self.all_keys:
             contents = open_ticket(stek, ticket, self.ticket_format)
@@ -360,11 +459,15 @@ class STEKStore:
 __all__ = [
     "STEK",
     "STEKStore",
+    "SealedTicket",
+    "Ticket",
     "TicketContents",
     "TicketFormat",
     "generate_stek",
+    "issue_ticket",
     "seal_ticket",
     "open_ticket",
     "extract_key_name",
     "sniff_ticket_format",
+    "sniff_ticket_head",
 ]

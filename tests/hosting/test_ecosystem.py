@@ -1,10 +1,16 @@
 """Ecosystem builder and dynamics tests."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.crypto import rsa
 from repro.hosting import EcosystemConfig, build_ecosystem
 from repro.hosting.ecosystem import _Builder, _pki_keys
@@ -180,6 +186,33 @@ def test_ground_truth_group_accessors(eco):
     assert any(len(members) > 10 for members in stek_groups.values())
     cache_groups = eco.ground_truth_cache_groups()
     assert any(len(members) > 10 for members in cache_groups.values())
+
+
+_GROUPS_SCRIPT = """
+import json
+from repro.hosting import EcosystemConfig, build_ecosystem
+eco = build_ecosystem(EcosystemConfig(population=330, seed=11))
+print(json.dumps([eco.ground_truth_stek_groups(), eco.ground_truth_cache_groups()]))
+"""
+
+
+def test_ground_truth_group_keys_are_stable_across_processes():
+    """Group keys are first-member indexes, not ``id()``: equal in every process."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _GROUPS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert outputs[0] == outputs[1]
+    eco = build_ecosystem(EcosystemConfig(population=330, seed=11))
+    names = [domain.name for domain in eco.domains]
+    for groups in json.loads(outputs[0]):
+        for key, members in groups.items():
+            assert names[int(key)] == members[0]
 
 
 def test_population_too_small_rejected():

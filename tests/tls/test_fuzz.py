@@ -15,7 +15,14 @@ from helpers import make_rig
 from repro.tls.errors import HandshakeFailure
 from repro.tls.messages import parse_handshake
 from repro.tls.record import parse_records
-from repro.tls.ticket import TicketFormat, generate_stek, open_ticket, sniff_ticket_format
+from repro.tls.ticket import (
+    TicketFormat,
+    extract_key_name,
+    generate_stek,
+    open_ticket,
+    sniff_ticket_format,
+    sniff_ticket_head,
+)
 from repro.tls.wire import DecodeError
 from repro.crypto.rng import DeterministicRandom
 from repro.x509 import X509Certificate
@@ -46,6 +53,24 @@ def test_parse_handshake_fails_closed(data, hint):
 def test_sniff_ticket_format_fails_closed(data):
     try:
         sniff_ticket_format(data)
+    except DecodeError:
+        pass
+
+
+@given(head=st.binary(max_size=80), length=st.integers(-1, 2**17))
+@settings(max_examples=150, deadline=None)
+def test_sniff_ticket_head_fails_closed(head, length):
+    try:
+        sniff_ticket_head(head, length)
+    except DecodeError:
+        pass
+
+
+@given(data=st.binary(max_size=64), ticket_format=st.sampled_from(list(TicketFormat)))
+@settings(max_examples=150, deadline=None)
+def test_extract_key_name_fails_closed(data, ticket_format):
+    try:
+        extract_key_name(data, ticket_format)
     except DecodeError:
         pass
 

@@ -1,20 +1,27 @@
 """RFC 5077 ticket and STEK tests."""
 
-import pytest
+import hmac
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crypto.modes import cbc_encrypt
 from repro.crypto.rng import DeterministicRandom
+from repro.obs.metrics import METRICS, reset_process_caches
 from repro.tls.ciphers import TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA
 from repro.tls.constants import ProtocolVersion
 from repro.tls.session import SessionState
 from repro.tls.ticket import (
     STEK,
     STEKStore,
+    SealedTicket,
     TicketFormat,
     extract_key_name,
     generate_stek,
     open_ticket,
     seal_ticket,
     sniff_ticket_format,
+    sniff_ticket_head,
 )
 from repro.tls.wire import DecodeError
 
@@ -195,3 +202,109 @@ def test_stolen_stek_decrypts_old_tickets():
     stolen = store.current  # exfiltrated key material
     contents = open_ticket(stolen, ticket)
     assert contents.session.master_secret == session.master_secret
+
+
+# -- sealed on first use: the lazy ticket is the eager one ------------------
+
+_FORMATS = [(TicketFormat.RFC5077, 16), (TicketFormat.MBEDTLS, 4), (TicketFormat.SCHANNEL, 16)]
+_ASCII_DOMAINS = st.text(st.characters(min_codepoint=0, max_codepoint=127), max_size=253)
+
+
+def _reference_seal(stek, session, iv, ticket_format, issued_at):
+    """RFC 5077 §4 sealing written out from the primitives and ``hmac``."""
+    domain = session.domain.encode("ascii")
+    state = b"".join((
+        int(session.version).to_bytes(2, "big"),
+        session.cipher_suite.code.to_bytes(2, "big"),
+        session.master_secret,
+        int(session.created_at).to_bytes(4, "big"),
+        int(issued_at).to_bytes(4, "big"),
+        len(domain).to_bytes(2, "big"),
+        domain,
+    ))
+    encrypted = cbc_encrypt(stek.aes_key, iv, state)
+    mac = hmac.new(stek.hmac_key, stek.key_name + iv + encrypted, "sha256").digest()
+    header = b"\x30\x82DPAPI" if ticket_format is TicketFormat.SCHANNEL else b""
+    return header + stek.key_name + iv + len(encrypted).to_bytes(2, "big") + encrypted + mac
+
+
+def _counts():
+    return (
+        METRICS.counter("tls.ticket.seal").value,
+        METRICS.counter("crypto.aes.stek_cipher.hit").value,
+        METRICS.counter("crypto.aes.stek_cipher.miss").value,
+    )
+
+
+@given(
+    fmt=st.sampled_from(_FORMATS),
+    domain=_ASCII_DOMAINS,
+    seed=st.integers(0, 2**32),
+    materialize=st.sampled_from(["at_once", "after_rotate", "after_reset"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_issued_ticket_equals_eager_seal(fmt, domain, seed, materialize):
+    ticket_format, name_len = fmt
+    stek = generate_stek(DeterministicRandom(seed), 0.0, key_name_length=name_len)
+    session = SessionState(
+        master_secret=DeterministicRandom(seed + 1).random_bytes(48),
+        cipher_suite=TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA,
+        version=ProtocolVersion.TLS12,
+        created_at=1234.0,
+        domain=domain,
+    )
+    reference_rng = DeterministicRandom(seed + 2)
+    reference = _reference_seal(
+        stek, session, reference_rng.random_bytes(16), ticket_format, 77.0
+    )
+    eager = seal_ticket(stek, session, DeterministicRandom(seed + 2), ticket_format, 77.0)
+    assert eager == reference
+    store = STEKStore(stek, ticket_format)
+    issue_rng = DeterministicRandom(seed + 2)
+    issued = store.issue(session, issue_rng, now=77.0)
+    assert isinstance(issued, SealedTicket)
+
+    # The IV is drawn at issue, and everything observable is fixed
+    # before any encryption.
+    assert issue_rng.random_bytes(8) == reference_rng.random_bytes(8)
+    assert len(issued) == len(eager)
+    assert eager.startswith(issued.head)
+    assert sniff_ticket_format(issued) is sniff_ticket_format(eager) is ticket_format
+    assert sniff_ticket_head(issued.head, len(issued)) is ticket_format
+    assert extract_key_name(issued, ticket_format) == extract_key_name(eager, ticket_format)
+
+    if materialize == "after_rotate":
+        store.rotate(generate_stek(DeterministicRandom(seed + 3), 1.0, name_len))
+    elif materialize == "after_reset":
+        reset_process_caches()
+    before = _counts()
+    sealed = bytes(issued)
+    assert sealed == eager
+    assert bytes(issued) is sealed  # memoized
+    assert _counts() == before  # sealing the body counts nothing
+    assert issued == eager and hash(issued) == hash(eager)
+
+
+@pytest.mark.parametrize("fmt,name_len", _FORMATS)
+def test_issue_counts_one_seal_and_one_cipher_lookup(fmt, name_len):
+    stek = generate_stek(RNG, 0.0, key_name_length=name_len)
+    store = STEKStore(stek, fmt)
+    for expected in ((1, 0, 1), (1, 1, 0)):  # cold, then warm schedule
+        start = _counts()
+        store.issue(make_session(), RNG)
+        assert tuple(b - a for a, b in zip(start, _counts())) == expected
+
+
+def test_open_authenticates_issued_tickets():
+    """Opening seals the real bytes and checks them: no shortcut to the state."""
+    stek = generate_stek(RNG, 0.0)
+    forged = STEK(
+        key_name=stek.key_name,
+        aes_key=stek.aes_key,
+        hmac_key=RNG.random_bytes(32),
+        created_at=0.0,
+    )
+    ticket = STEKStore(stek).issue(make_session(), RNG, now=3.0)
+    assert open_ticket(forged, ticket) is None
+    assert STEKStore(forged).open(ticket) is None
+    assert open_ticket(stek, ticket).issued_at == 3.0
