@@ -689,11 +689,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "affects output (default 1024; see "
                             "docs/SCALING.md)")
     study.add_argument("--oracle", action="store_true",
-                       help="use the blocking reference scan path (full "
-                            "record serialization and real crypto per "
-                            "connection) instead of the event-driven fast "
-                            "path; output is byte-identical, roughly 10x "
-                            "slower — for equivalence checks")
+                       help="run every grab as a blocking record-layer "
+                            "exchange (real records and crypto around the "
+                            "same handshake decisions) instead of the "
+                            "event-driven fast path; output is "
+                            "byte-identical, several times slower — the "
+                            "reference for equivalence checks")
     study.add_argument("--stream-dir", default=None,
                        help="stream observations to JSONL in this directory "
                             "as they are produced instead of holding them "

@@ -260,9 +260,9 @@ _CACHE_EVICTION = METRICS.counter("crypto.aes.key_cache.eviction")
 def aes_for_key(key: bytes) -> AES:
     """Return a cached :class:`AES` for ``key``, expanding it at most once.
 
-    Bounded LRU: the simulation's working set is the live STEKs plus
-    record-layer keys, far below the cap; eviction only protects against
-    pathological key churn.
+    Bounded LRU: the simulation's working set is the record-layer keys
+    of the connections that exchange application data, far below the
+    cap; eviction only protects against pathological key churn.
     """
     cipher = _INSTANCE_CACHE.get(key)
     if cipher is None:

@@ -7,8 +7,12 @@ Two deliberate fast-path choices (see DESIGN.md §7 for the safety
 argument):
 
 * key schedules come from :func:`repro.crypto.aes.aes_for_key`, a
-  bounded LRU keyed by key bytes — a STEK seals/opens enormous ticket
-  volumes, so the hit rate in practice is ~100%;
+  bounded LRU keyed by key bytes.  Its traffic is application-data
+  records under per-connection keys (capture-mode grabs and the
+  passive adversary decrypting them), which both ends of a connection
+  use, so a key is expanded once per connection, not once per record.
+  Session tickets do not pass through it: each STEK keeps its own
+  schedule (``repro.tls.ticket.STEK.cipher``);
 * chaining works on whole blocks held as 128-bit integers
   (``int.from_bytes`` once per block, one big XOR) instead of a
   per-byte generator, which is the difference between the XOR being

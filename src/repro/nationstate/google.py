@@ -19,6 +19,7 @@ from ..crypto.rng import DeterministicRandom
 from ..hosting.ecosystem import Ecosystem, GOOGLE_MX_HOST, MAIL_TLS_PORTS
 from ..netsim.clock import HOUR
 from ..tls.ticket import extract_key_name, sniff_ticket_format
+from ..tls.wire import DecodeError
 from ..scanner.grab import ZGrabber
 from .adversary import NationStateAttacker, PassiveCollector
 
@@ -148,7 +149,7 @@ def measure_cross_protocol_stek(
         try:
             fmt = sniff_ticket_format(ticket)
             stek_id = extract_key_name(ticket, fmt).hex()
-        except Exception:
+        except DecodeError:
             continue
         if stek_id == https.stek_id:
             sharing.append(port)

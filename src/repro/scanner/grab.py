@@ -42,7 +42,6 @@ from ..tls.ciphers import CipherSuite, MODERN_BROWSER_OFFER
 from ..tls.client import HandshakeResult, TLSClient
 from ..tls.constants import KeyExchangeKind
 from ..tls.fastpath import fast_handshake
-from ..tls.server import TLSServer
 from ..tls.session import SessionState
 from ..tls.ticket import Ticket, extract_key_name, sniff_ticket_format
 from ..tls.wire import DecodeError
@@ -100,8 +99,8 @@ class ZGrabber:
     ) -> None:
         self.ecosystem = ecosystem
         self._rng = rng
-        #: Use the draw-identical fast handshake (repro.tls.fastpath)
-        #: for plain scans; False forces the blocking oracle exchange.
+        #: Use the fast handshake (repro.tls.fastpath) for every grab
+        #: but captures; False forces the record-layer exchange.
         #: Output bytes are identical either way — the oracle is kept
         #: selectable for equivalence tests and `study --oracle`.
         self.fast = fast
@@ -232,11 +231,10 @@ class ZGrabber:
                 _GRAB_SECONDS.observe(elapsed)
                 PROFILER.observe_grab(domain, elapsed)
                 return None, str(address), f"connect: {exc}", reason
-            # Fault-injected connections (ImpairedServer wrappers) and
-            # captures need real record flights, so they take the
-            # blocking oracle; everything else skips the unobservable
-            # crypto with identical draws and side effects.
-            if self.fast and not capture and isinstance(server, TLSServer):
+            # Captures need real record flights; everything else,
+            # fault-injected connections included, skips the
+            # unobservable crypto with identical draws and side effects.
+            if self.fast and not capture:
                 result = fast_handshake(
                     self.client,
                     server,

@@ -1,9 +1,15 @@
 """The TLS 1.2 client used by the measurement toolchain.
 
-The client drives a server's flight-oriented exchange API with real
-serialized records, validates certificates against a trust store, and
-returns a :class:`HandshakeResult` capturing everything the paper's
-scanner records per connection:
+The client's handshake decisions are steps on decoded values —
+:meth:`TLSClient.start` (``client_random``),
+:meth:`TLSClient.key_exchange` (certificate validation, then the RSA
+premaster or our (EC)DHE keypair), :meth:`TLSClient.established` and
+:meth:`TLSClient.resumed` — shared by two drivers:
+:meth:`TLSClient.connect`, which drives a server's flight-oriented
+exchange API with real serialized records, and the fast path
+(:func:`repro.tls.fastpath.fast_handshake`), which calls the server's
+decision steps directly.  Either returns a :class:`HandshakeResult`
+capturing everything the paper's scanner records per connection:
 
 * negotiated cipher suite and key-exchange family,
 * the server's (EC)DHE public value (the §4.4 reuse signal),
@@ -11,7 +17,8 @@ scanner records per connection:
 * any issued session ticket with its lifetime hint and STEK identifier,
 * the certificate and whether it chains to the trust store,
 * the client-side session state needed to attempt later resumptions,
-* a full capture of the records exchanged (for the passive adversary).
+* with :meth:`TLSClient.connect`, a full capture of the records
+  exchanged (for the passive adversary).
 
 Failures come back as ``ok=False`` results with an error string — a
 scanner must keep scanning when a server misbehaves.
@@ -20,7 +27,7 @@ scanner must keep scanning when a server misbehaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Protocol
+from typing import Callable, Generator, Optional, Protocol, Union
 
 from ..crypto import dh, ec
 from ..crypto.mac import sha256, constant_time_equal
@@ -57,6 +64,8 @@ from .record import RecordCipher, handshake_record, new_record_cipher, parse_rec
 from .session import SessionState, derive_connection_keys
 from .ticket import Ticket
 from .wire import DecodeError
+
+ServerKeyExchange = Union[ServerKeyExchangeDHE, ServerKeyExchangeECDHE]
 
 
 class ServerExchange(Protocol):
@@ -109,6 +118,26 @@ class HandshakeResult:
         """Did this connection use a nominally forward-secret exchange?"""
         return self.cipher_suite is not None and self.cipher_suite.forward_secret
 
+    def fail(self, exc: Exception) -> None:
+        """Record the error that ended this connection attempt."""
+        self.ok = False
+        self.error = f"{type(exc).__name__}: {exc}"
+
+
+#: The exceptions a handshake turns into a recorded error string.
+HANDSHAKE_ERRORS = (TLSError, DecodeError, ValueError)
+
+# Prebound instruments: one dict lookup per import, not per handshake.
+_HANDSHAKES = {
+    (resumed, kex): METRICS.counter(
+        "tls.client.handshake",
+        kind="abbreviated" if resumed else "full",
+        kex=kex.name.lower(),
+    )
+    for resumed in (False, True)
+    for kex in KeyExchangeKind
+}
+
 
 class TLSClient:
     """A scanning TLS client with a trust store and deterministic randomness."""
@@ -152,10 +181,7 @@ class TLSClient:
         (which must be provided when either is non-empty, since an
         honoring server never re-sends the master secret).
         """
-        if (session_id or ticket) and saved_session is None:
-            raise ValueError("resumption offers require the saved session state")
-        result = HandshakeResult(ok=False, domain=server_name,
-                                 offered_session_id=session_id)
+        result = self.start(server_name, session_id, ticket, saved_session)
         try:
             # Drive the continuation to completion inline: the simulated
             # network has zero latency, so every Wait is already due.
@@ -166,10 +192,8 @@ class TLSClient:
                 saved_session, offer_tickets, capture, result,
             ):
                 pass
-        except (TLSError, DecodeError, ValueError) as exc:
-            result.ok = False
-            if not result.error:
-                result.error = f"{type(exc).__name__}: {exc}"
+        except HANDSHAKE_ERRORS as exc:
+            result.fail(exc)
         return result
 
     def exchange_data(self, result: HandshakeResult, request: bytes) -> bytes:
@@ -186,7 +210,107 @@ class TLSClient:
         records = parse_records(response_bytes)
         return result._record_cipher.unprotect(records[0])
 
-    # -- continuation API ----------------------------------------------------
+    # -- handshake decisions ------------------------------------------------
+
+    def start(
+        self,
+        server_name: str,
+        session_id: bytes,
+        ticket: Ticket,
+        saved_session: Optional[SessionState],
+    ) -> HandshakeResult:
+        """Open a connection attempt: check the offers, draw ``client_random``."""
+        if (session_id or ticket) and saved_session is None:
+            raise ValueError("resumption offers require the saved session state")
+        return HandshakeResult(
+            ok=False, domain=server_name, offered_session_id=session_id,
+            client_random=self._rng.random_bytes(32),
+        )
+
+    def key_exchange(
+        self,
+        result: HandshakeResult,
+        certificate: X509Certificate,
+        server_name: str,
+        kex_message: Optional[ServerKeyExchange],
+    ) -> Callable[[], tuple[bytes, bytes]]:
+        """Make the client's full-handshake decisions, in draw order.
+
+        Validates ``certificate`` and the server's DHE value, then draws
+        the RSA premaster or takes our ephemeral keypair.  Returns the
+        deferred crypto, a call giving (premaster, ClientKeyExchange
+        data), which only the record-layer exchange makes; it decodes
+        and checks the server's EC point.
+        """
+        result.certificate = certificate
+        if self.trust_store is not None:
+            validation = self.trust_store.validate(
+                certificate, server_name or None, self._now()
+            )
+            result.certificate_trusted = bool(validation)
+            result.certificate_error = validation.reason
+        kex = result.cipher_suite.kex
+        result.server_kex_kind = kex
+        if kex == KeyExchangeKind.RSA:
+            return self._rsa_premaster(certificate)
+        if kex_message is None:
+            raise HandshakeFailure("missing ServerKeyExchange for (EC)DHE suite")
+        if isinstance(kex_message, ServerKeyExchangeDHE):
+            group = dh.DHGroup("negotiated", kex_message.dh_p, kex_message.dh_g)
+            server_public = kex_message.dh_public
+            dh.validate_public_value(group, server_public)
+            result.server_kex_public = dh.int_to_group_bytes(group, server_public)
+            keypair = self._ephemeral(self._dh_keypairs, group.prime, dh.generate_keypair, group)
+            return lambda: (
+                keypair.shared_secret_bytes(server_public),
+                dh.int_to_group_bytes(group, keypair.public),
+            )
+        curve_name = ec.NAMED_CURVE_BY_ID.get(kex_message.named_curve)
+        if curve_name is None:
+            raise HandshakeFailure(f"unknown named curve {kex_message.named_curve}")
+        curve = ec.CURVES_BY_NAME[curve_name]
+        result.server_kex_public = kex_message.point
+        keypair = self._ephemeral(self._ec_keypairs, curve.name, ec.generate_keypair, curve)
+        return lambda: (
+            keypair.shared_secret_bytes(ec.decode_point(curve, kex_message.point)),
+            ec.encode_point(curve, keypair.public),
+        )
+
+    def established(self, result: HandshakeResult, session: SessionState) -> None:
+        """Record a completed full handshake and its new session."""
+        result.session = session
+        result.ok = True
+        _HANDSHAKES[False, session.cipher_suite.kex].value += 1
+
+    def resumed(
+        self, result: HandshakeResult, session: SessionState, offered_ticket: Ticket
+    ) -> None:
+        """Record a completed resumption of ``session``."""
+        result.session = session
+        result.ok = True
+        result.resumed = True
+        result.resumed_via = "ticket" if offered_ticket else "session_id"
+        _HANDSHAKES[True, session.cipher_suite.kex].value += 1
+
+    def _rsa_premaster(self, certificate: X509Certificate) -> Callable[[], tuple[bytes, bytes]]:
+        premaster = self._rng.random_bytes(48)
+        key = certificate.public_key
+        value = int.from_bytes(premaster, "big")
+        if value >= key.n:
+            # 48 bytes always fits below a >=512-bit modulus; guard anyway.
+            raise HandshakeFailure("server RSA key too small for premaster")
+        return lambda: (premaster, pow(value, key.e, key.n).to_bytes(key.byte_length, "big"))
+
+    def _ephemeral(self, cache: dict, key, generate, params):
+        """Our (EC)DHE keypair: fresh, or per-parameter when reusing."""
+        if not self.reuse_client_ephemerals:
+            return generate(params, self._rng)
+        keypair = cache.get(key)
+        if keypair is None:
+            keypair = cache[key] = generate(params, self._rng)
+        return keypair
+
+    # -- record-layer exchange (the continuation) ----------------------------
 
     def handshake_steps(
         self,
@@ -200,26 +324,25 @@ class TLSClient:
         capture: bool,
         result: HandshakeResult,
     ) -> Generator[Wait, None, None]:
-        """The handshake as a resumable continuation.
+        """The handshake over real records, as a resumable continuation.
 
-        This is the protocol-shim contract the event-driven scan core
-        schedules (docs/SCALING.md): a generator that yields a
+        ``result`` comes from :meth:`start`.  The generator yields a
         :class:`~repro.netsim.eventloop.Wait` wherever bytes are on
         the wire — once after each flight this client sends — and
         mutates ``result`` as the exchange progresses.  Between
-        yields the step runs to completion synchronously; all
-        randomness comes from the client/server RNG streams in a
-        fixed per-step order, so driving the generator inline
-        (:meth:`connect`) or interleaved with thousands of others on
-        an :class:`~repro.netsim.eventloop.EventLoop` produces
+        yields the step runs to completion synchronously; every draw
+        is made by the decision steps (:meth:`start`,
+        :meth:`key_exchange`, and the server's ``negotiate`` and
+        ``establish``), which the fast path calls in the same order,
+        so driving the generator inline (:meth:`connect`) or
+        interleaved with thousands of others on an
+        :class:`~repro.netsim.eventloop.EventLoop` produces
         byte-identical results.  Protocol errors raise through the
         generator; :meth:`connect` converts them to ``result.error``.
         A TLS 1.3 or STARTTLS shim plugs in by implementing the same
         shape: yield per flight, never consult wall-clock time, and
         draw randomness only from the deterministic streams.
         """
-        client_random = self._rng.random_bytes(32)
-        result.client_random = client_random
         extensions = []
         if server_name:
             extensions.append(encode_server_name(server_name))
@@ -232,15 +355,13 @@ class TLSClient:
 
         client_hello = ClientHello(
             version=ProtocolVersion.TLS12,
-            random=client_random,
+            random=result.client_random,
             session_id=session_id,
             cipher_suites=list(offer),
             extensions=extensions,
         )
-        ch_bytes = serialize_records(
-            [handshake_record(serialize_handshake(client_hello))]
-        )
         transcript = serialize_handshake(client_hello)
+        ch_bytes = serialize_records([handshake_record(transcript)])
         if capture:
             result.captured.append(CapturedFlight(from_client=True, data=ch_bytes))
 
@@ -275,28 +396,25 @@ class TLSClient:
 
         if messages and isinstance(messages[-1], Finished):
             yield from self._finish_abbreviated(
-                server, server_conn, server_hello, messages, saved_session,
-                session_id, ticket, transcript, capture, result, client_random,
+                server, server_conn, messages, saved_session,
+                ticket, transcript, capture, result,
             )
         else:
             yield from self._finish_full(
-                server, server_conn, server_hello, messages, server_name,
-                transcript, capture, result, client_random, offer_tickets,
+                server, server_conn, messages, server_name,
+                transcript, capture, result,
             )
 
     def _finish_abbreviated(
         self,
         server: ServerExchange,
         server_conn: object,
-        server_hello: ServerHello,
         messages: list,
         saved_session: Optional[SessionState],
-        offered_session_id: bytes,
         offered_ticket: Ticket,
         transcript: bytes,
         capture: bool,
         result: HandshakeResult,
-        client_random: bytes,
     ) -> Generator[Wait, None, None]:
         if saved_session is None:
             raise HandshakeFailure("server resumed a session we did not offer")
@@ -330,34 +448,18 @@ class TLSClient:
         yield Wait(0.0)  # client Finished in flight
         server.finish_abbreviated(server_conn, finished_bytes)
 
-        result.ok = True
-        result.resumed = True
-        result.resumed_via = "ticket" if offered_ticket else "session_id"
-        METRICS.counter(
-            "tls.client.handshake",
-            kind="abbreviated",
-            kex=session.cipher_suite.kex.name.lower(),
-        ).inc()
-        result.session = session
-        keys = derive_connection_keys(session, client_random, server_hello.random)
-        result._record_cipher = new_record_cipher(
-            keys, is_client=True, suite=session.cipher_suite
-        )
-        result._server = server
-        result._server_conn = server_conn
+        self.resumed(result, session, offered_ticket)
+        self._start_records(result, server, server_conn)
 
     def _finish_full(
         self,
         server: ServerExchange,
         server_conn: object,
-        server_hello: ServerHello,
         messages: list,
         server_name: str,
         transcript: bytes,
         capture: bool,
         result: HandshakeResult,
-        client_random: bytes,
-        offer_tickets: bool,
     ) -> Generator[Wait, None, None]:
         certificate_msg = None
         kex_message = None
@@ -379,34 +481,17 @@ class TLSClient:
         if not certificate_msg.chain:
             raise HandshakeFailure("empty certificate chain")
         certificate = X509Certificate.parse(certificate_msg.chain[0])
-        result.certificate = certificate
-        if self.trust_store is not None:
-            validation = self.trust_store.validate(
-                certificate, server_name or None, self._now()
-            )
-            result.certificate_trusted = bool(validation)
-            result.certificate_error = validation.reason
-        suite = server_hello.cipher_suite
-        result.server_kex_kind = suite.kex
-
-        if suite.kex == KeyExchangeKind.RSA:
-            premaster, exchange_data = self._rsa_premaster(certificate)
-        else:
-            if kex_message is None:
-                raise HandshakeFailure("missing ServerKeyExchange for (EC)DHE suite")
-            if not verify_kex_signature(
-                kex_message, certificate.public_key, client_random, server_hello.random
-            ):
-                raise HandshakeFailure("ServerKeyExchange signature invalid")
-            if isinstance(kex_message, ServerKeyExchangeDHE):
-                premaster, exchange_data, public = self._dhe_premaster(kex_message)
-            else:
-                premaster, exchange_data, public = self._ecdhe_premaster(kex_message)
-            result.server_kex_public = public
+        if kex_message is not None and not verify_kex_signature(
+            kex_message, certificate.public_key, result.client_random, result.server_random
+        ):
+            raise HandshakeFailure("ServerKeyExchange signature invalid")
+        premaster, exchange_data = self.key_exchange(
+            result, certificate, server_name, kex_message
+        )()
 
         cke = ClientKeyExchange(exchange_data=exchange_data)
         transcript += serialize_handshake(cke)
-        master = derive_master_secret(premaster, client_random, server_hello.random)
+        master = derive_master_secret(premaster, result.client_random, result.server_random)
         finished = Finished(
             verify_data=verify_data(master, b"client finished", sha256(transcript))
         )
@@ -441,70 +526,27 @@ class TLSClient:
         if not constant_time_equal(server_finished.verify_data, expected):
             raise HandshakeFailure("server Finished verification failed")
 
-        result.ok = True
-        METRICS.counter(
-            "tls.client.handshake", kind="full", kex=suite.kex.name.lower()
-        ).inc()
-        result.session = SessionState(
+        self.established(result, SessionState(
             master_secret=master,
-            cipher_suite=suite,
+            cipher_suite=result.cipher_suite,
             version=ProtocolVersion.TLS12,
             created_at=self._now(),
             domain=server_name,
+        ))
+        self._start_records(result, server, server_conn)
+
+    @staticmethod
+    def _start_records(result: HandshakeResult, server: ServerExchange, server_conn) -> None:
+        keys = derive_connection_keys(result.session, result.client_random, result.server_random)
+        result._record_cipher = new_record_cipher(
+            keys, is_client=True, suite=result.session.cipher_suite
         )
-        keys = derive_connection_keys(result.session, client_random, server_hello.random)
-        result._record_cipher = new_record_cipher(keys, is_client=True, suite=suite)
         result._server = server
         result._server_conn = server_conn
 
-    def _rsa_premaster(self, certificate: X509Certificate) -> tuple[bytes, bytes]:
-        premaster = self._rng.random_bytes(48)
-        value = int.from_bytes(premaster, "big")
-        if value >= certificate.public_key.n:
-            # 48 bytes always fits below a >=512-bit modulus; guard anyway.
-            raise HandshakeFailure("server RSA key too small for premaster")
-        ciphertext = pow(value, certificate.public_key.e, certificate.public_key.n)
-        size = (certificate.public_key.n.bit_length() + 7) // 8
-        return premaster, ciphertext.to_bytes(size, "big")
-
-    def _dhe_premaster(
-        self, kex: ServerKeyExchangeDHE
-    ) -> tuple[bytes, bytes, bytes]:
-        group = dh.DHGroup("negotiated", kex.dh_p, kex.dh_g)
-        dh.validate_public_value(group, kex.dh_public)
-        if self.reuse_client_ephemerals:
-            keypair = self._dh_keypairs.get(kex.dh_p)
-            if keypair is None:
-                keypair = dh.generate_keypair(group, self._rng)
-                self._dh_keypairs[kex.dh_p] = keypair
-        else:
-            keypair = dh.generate_keypair(group, self._rng)
-        premaster = keypair.shared_secret_bytes(kex.dh_public)
-        exchange_data = dh.int_to_group_bytes(group, keypair.public)
-        server_public = dh.int_to_group_bytes(group, kex.dh_public)
-        return premaster, exchange_data, server_public
-
-    def _ecdhe_premaster(
-        self, kex: ServerKeyExchangeECDHE
-    ) -> tuple[bytes, bytes, bytes]:
-        curve_name = ec.NAMED_CURVE_BY_ID.get(kex.named_curve)
-        if curve_name is None:
-            raise HandshakeFailure(f"unknown named curve {kex.named_curve}")
-        curve = ec.CURVES_BY_NAME[curve_name]
-        server_point = ec.decode_point(curve, kex.point)
-        if self.reuse_client_ephemerals:
-            keypair = self._ec_keypairs.get(curve.name)
-            if keypair is None:
-                keypair = ec.generate_keypair(curve, self._rng)
-                self._ec_keypairs[curve.name] = keypair
-        else:
-            keypair = ec.generate_keypair(curve, self._rng)
-        premaster = keypair.shared_secret_bytes(server_point)
-        exchange_data = ec.encode_point(curve, keypair.public)
-        return premaster, exchange_data, kex.point
-
 
 __all__ = [
+    "HANDSHAKE_ERRORS",
     "TLSClient",
     "HandshakeResult",
     "CapturedFlight",

@@ -6,8 +6,11 @@ cache and a STEK store (both of which may be shared with other servers
 — that sharing is the paper's §5 subject), and serves whatever
 certificate its operator configured.
 
-The exchange API is synchronous and flight-oriented, matching how the
-scanner drives connections:
+Every handshake decision is made by two steps that work on decoded
+values: :meth:`TLSServer.negotiate` (the first flight) and
+:meth:`TLSServer.establish` (after the client's last flight).  The
+synchronous, flight-oriented exchange API decodes real records, calls
+those steps and serializes their outcome:
 
     flight, conn = server.accept(client_hello_bytes)
     # full handshake:
@@ -17,16 +20,17 @@ scanner drives connections:
     # then, optionally:
     reply = server.handle_application_record(conn, record_bytes)
 
-All handshake bytes are real serialized TLS records; Finished values
-are PRF-derived from the running transcript, and resumption semantics
-(RFC 5077 ticket-over-session-ID precedence, ticket reissue, cache
-expiry) follow the behaviors the paper measures.
+Finished values are PRF-derived from the running transcript, and
+resumption semantics (RFC 5077 ticket-over-session-ID precedence,
+ticket reissue, cache expiry) follow the behaviors the paper measures.
+The fast path (:mod:`repro.tls.fastpath`) calls the same two steps
+without the records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..crypto import dh, ec
 from ..crypto.mac import sha256, constant_time_equal
@@ -39,20 +43,15 @@ from .ciphers import CipherSuite, KeyExchangeKind, select_suite
 from .constants import (
     AlertDescription,
     ExtensionType,
-    HandshakeType,
     ProtocolVersion,
     SESSION_ID_LENGTH,
 )
 from .errors import HandshakeFailure
-from .extensions import (
-    decode_server_name,
-    encode_session_ticket,
-    find_extension,
-    has_extension,
-)
+from .extensions import decode_server_name, encode_session_ticket, find_extension
 from .keyexchange import (
     EphemeralKeyCache,
     KexReusePolicy,
+    KeyPair,
     build_dhe_kex,
     build_ecdhe_kex,
 )
@@ -69,8 +68,22 @@ from .messages import (
 )
 from .record import RecordCipher, handshake_record, new_record_cipher, parse_records, serialize_records
 from .session import SessionCache, SessionState, derive_connection_keys
-from .ticket import STEKStore, Ticket, TicketFormat
+from .ticket import SealedTicket, STEKStore, Ticket, TicketFormat
 from .wire import DecodeError
+
+# Prebound instruments: negotiate/establish run once per handshake on
+# every driver, so the label lookups happen once at import.
+_HANDSHAKES = {
+    (resumed, kex): METRICS.counter(
+        "tls.server.handshake",
+        kind="abbreviated" if resumed else "full",
+        kex=kex.name.lower(),
+    )
+    for resumed in (False, True)
+    for kex in KeyExchangeKind
+}
+_FAIL_SNI = METRICS.counter("tls.server.handshake_failure", reason="sni")
+_FAIL_NO_CIPHER = METRICS.counter("tls.server.handshake_failure", reason="no_cipher")
 
 # Per-server static flight parts.  ServerHelloDone is always the same
 # four bytes, and the serialized Certificate message depends only on
@@ -153,26 +166,38 @@ class ServerConfig:
         return self.certificate, self.private_key
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerConnection:
-    """Per-connection server state between flights."""
+    """One connection's server-side decisions, then its state between flights.
 
-    client_hello: ClientHello
+    :meth:`TLSServer.negotiate` fills in the decisions and
+    :meth:`TLSServer.establish` completes them; ``transcript`` and
+    ``record_cipher`` belong to the record-layer exchange alone.
+    """
+
+    client_random: bytes
     server_random: bytes
-    cipher_suite: CipherSuite
-    session_id: bytes
     sni: str
-    transcript: bytes
-    resumed: bool
-    certificate: Optional[X509Certificate] = None
-    private_key: Optional[RSAPrivateKey] = None
-    resumed_via: Optional[str] = None
-    session: Optional[SessionState] = None
-    kex_dh: Optional[dh.DHKeyPair] = None
-    kex_ec: Optional[ec.ECKeyPair] = None
-    will_issue_ticket: bool = False
+    cipher_suite: CipherSuite
+    certificate: X509Certificate
+    private_key: RSAPrivateKey
+    #: ``"ticket"`` or ``"session_id"`` when resuming; None on a full handshake.
+    resumed_via: Optional[str]
+    #: The resumed session, or a full handshake's once established.
+    session: Optional[SessionState]
+    session_id: bytes = b""
+    #: A resumption reissues its ticket with the first flight; a full
+    #: handshake sends a new one after establishment.
+    issue_ticket: bool = False
+    ticket: Optional[SealedTicket] = None
+    kex_keypair: Optional[KeyPair] = None
+    transcript: bytes = b""
     record_cipher: Optional[RecordCipher] = None
     completed: bool = False
+
+    @property
+    def resumed(self) -> bool:
+        return self.resumed_via is not None
 
 
 class TLSServer:
@@ -212,83 +237,72 @@ class TLSServer:
         if self.config.session_cache is not None:
             self.config.session_cache.clear()
 
-    # -- handshake: first flight ----------------------------------------
+    # -- handshake decisions ---------------------------------------------
 
-    def accept(self, client_hello_bytes: bytes) -> tuple[bytes, ServerConnection]:
-        """Process a ClientHello record; return our flight and the context.
+    def negotiate(
+        self,
+        client_random: bytes,
+        sni: str,
+        suites: Sequence[CipherSuite],
+        session_id: bytes,
+        ticket: Ticket,
+        offers_tickets: bool,
+    ) -> ServerConnection:
+        """Make every first-flight decision from the client's decoded offers.
 
-        Raises :class:`HandshakeFailure` on negotiation failure (the
-        scanner records these as handshake errors, like a fatal alert).
+        In draw order: the strict-SNI and cipher checks (no draw when
+        they fail), ``server_random``, the resumption lookup, then a
+        resumption's session ID and reissued ticket, or a full
+        handshake's session ID and (EC)DHE keypair.  Both exchange
+        drivers, :meth:`accept` and
+        :func:`~repro.tls.fastpath.fast_handshake`, call this, so their
+        draws and side effects agree by construction.
         """
+        config = self.config
         now = self._now()
-        records = parse_records(client_hello_bytes)
-        if len(records) != 1:
-            raise HandshakeFailure("expected exactly one ClientHello record",
-                                   AlertDescription.UNEXPECTED_MESSAGE)
-        try:
-            message, remainder = parse_handshake(records[0].payload)
-        except DecodeError as exc:
-            raise HandshakeFailure(str(exc), AlertDescription.DECODE_ERROR) from exc
-        if remainder or not isinstance(message, ClientHello):
-            raise HandshakeFailure("first message must be ClientHello",
-                                   AlertDescription.UNEXPECTED_MESSAGE)
-        client_hello = message
-        if client_hello.version < ProtocolVersion.TLS10:
-            raise HandshakeFailure("client version too old")
-
-        sni = ""
-        sni_data = find_extension(client_hello.extensions, ExtensionType.SERVER_NAME)
-        if sni_data is not None:
-            sni = decode_server_name(sni_data)
-        certificate, private_key = self.config.certificate_for(sni)
-        if self.config.strict_sni and sni and not certificate.matches_hostname(sni):
+        certificate, private_key = config.certificate_for(sni)
+        if config.strict_sni and sni and not certificate.matches_hostname(sni):
             self.failed_handshakes += 1
-            METRICS.counter("tls.server.handshake_failure", reason="sni").inc()
+            _FAIL_SNI.value += 1
             raise HandshakeFailure(f"unrecognized server name {sni!r}",
                                    AlertDescription.UNRECOGNIZED_NAME)
-
-        suite = select_suite(
-            client_hello.cipher_suites,
-            self.config.supported_suites,
-            self.config.server_cipher_preference,
-        )
+        suite = select_suite(suites, config.supported_suites, config.server_cipher_preference)
         if suite is None:
             self.failed_handshakes += 1
-            METRICS.counter("tls.server.handshake_failure", reason="no_cipher").inc()
+            _FAIL_NO_CIPHER.value += 1
             raise HandshakeFailure("no mutually supported cipher suite")
 
         server_random = self._rng.random_bytes(32)
-        transcript = serialize_handshake(client_hello)
-
-        resumed_session, resumed_via = self._try_resume(client_hello, now)
-        if resumed_session is not None:
-            return self._accept_abbreviated(
-                client_hello, resumed_session, resumed_via, server_random, transcript, now, sni
-            )
-        return self._accept_full(
-            client_hello, suite, server_random, transcript, now, sni,
-            certificate, private_key,
+        session, via = self.resume_lookup(ticket, session_id, now)
+        conn = ServerConnection(
+            client_random, server_random, sni, suite, certificate, private_key, via, session,
         )
-
-    def _client_offers_tickets(self, client_hello: ClientHello) -> bool:
-        return has_extension(client_hello.extensions, ExtensionType.SESSION_TICKET)
-
-    def _try_resume(
-        self, client_hello: ClientHello, now: float
-    ) -> tuple[Optional[SessionState], Optional[str]]:
-        ticket = find_extension(client_hello.extensions, ExtensionType.SESSION_TICKET)
-        return self.resume_lookup(ticket or b"", client_hello.session_id, now)
+        if session is None:
+            conn.issue_ticket = offers_tickets and config.stek_store is not None
+            if config.issue_session_ids:
+                conn.session_id = self._rng.random_bytes(SESSION_ID_LENGTH)
+            if suite.kex == KeyExchangeKind.DHE:
+                conn.kex_keypair = self.kex_cache.get_dh(config.dh_group, self._rng, now)
+            elif suite.kex == KeyExchangeKind.ECDHE:
+                conn.kex_keypair = self.kex_cache.get_ec(config.curve, self._rng, now)
+            return conn
+        conn.cipher_suite = session.cipher_suite
+        # On session-ID resumption the server echoes the ID; on ticket
+        # resumption OpenSSL-style stacks send a fresh (uncached) ID.
+        if via == "session_id":
+            conn.session_id = session_id
+        elif config.issue_session_ids:
+            conn.session_id = self._rng.random_bytes(SESSION_ID_LENGTH)
+        # A ticket resumption implies a STEK store and a ticket offer.
+        conn.issue_ticket = via == "ticket" and config.ticket_policy.reissue_on_resume
+        if conn.issue_ticket:
+            conn.ticket = config.stek_store.issue(session, self._rng, now=now)
+        return conn
 
     def resume_lookup(
         self, ticket: Ticket, session_id: bytes, now: float
     ) -> tuple[Optional[SessionState], Optional[str]]:
-        """RFC 5077 §3.4: a non-empty ticket takes precedence over the ID.
-
-        Shared resumption decision: :meth:`accept` calls it with the
-        decoded ClientHello offers, and the draw-identical fast path
-        (:mod:`repro.tls.fastpath`) with the client's raw offers —
-        both must see the same cache/STEK side effects and metrics.
-        """
+        """RFC 5077 §3.4: a non-empty ticket takes precedence over the ID."""
         if ticket and self.config.stek_store is not None:
             contents = self.config.stek_store.open(ticket)
             if contents is not None:
@@ -308,150 +322,125 @@ class TLSServer:
             METRICS.counter("tls.server.resumption_rejected", via="session_id").inc()
         return None, None
 
-    def _accept_abbreviated(
-        self,
-        client_hello: ClientHello,
-        session: SessionState,
-        resumed_via: str,
-        server_random: bytes,
-        transcript: bytes,
-        now: float,
-        sni: str,
-    ) -> tuple[bytes, ServerConnection]:
-        policy = self.config.ticket_policy
-        reissue = (
-            resumed_via == "ticket"
-            and self.config.stek_store is not None
-            and policy.reissue_on_resume
-            and self._client_offers_tickets(client_hello)
-        )
-        extensions = []
-        if reissue:
-            extensions.append(encode_session_ticket(b""))
-        # On session-ID resumption the server echoes the ID; on ticket
-        # resumption OpenSSL-style stacks send a fresh (uncached) ID.
-        if resumed_via == "session_id":
-            session_id = client_hello.session_id
-        elif self.config.issue_session_ids:
-            session_id = self._rng.random_bytes(SESSION_ID_LENGTH)
+    def establish(self, conn: ServerConnection, master_secret: bytes) -> None:
+        """Make the decisions that follow the client's finished flight.
+
+        A full handshake's session is created with ``master_secret``,
+        cached under its session ID and sealed into the ticket sent
+        after it; a resumption keeps its session (``master_secret`` is
+        unused).  Either way the handshake is counted.
+        """
+        resumed = conn.resumed
+        if resumed:
+            self.resumptions += 1
         else:
-            session_id = b""
-        server_hello = ServerHello(
-            version=ProtocolVersion.TLS12,
-            random=server_random,
-            session_id=session_id,
-            cipher_suite=session.cipher_suite,
-            extensions=extensions,
-        )
-        parts = [serialize_handshake(server_hello)]
-        if reissue:
-            assert self.config.stek_store is not None
-            fresh = self.config.stek_store.issue(session, self._rng, now=now)
-            parts.append(
-                serialize_handshake(
-                    NewSessionTicket(
-                        lifetime_hint_seconds=policy.lifetime_hint_seconds,
-                        ticket=bytes(fresh),
-                    )
-                )
+            now = self._now()
+            session = conn.session = SessionState(
+                master_secret=master_secret,
+                cipher_suite=conn.cipher_suite,
+                version=ProtocolVersion.TLS12,
+                created_at=now,
+                domain=conn.sni,
             )
-        transcript += b"".join(parts)
-        finished = Finished(
-            verify_data=verify_data(
-                session.master_secret, b"server finished", sha256(transcript)
-            )
-        )
-        finished_bytes = serialize_handshake(finished)
-        parts.append(finished_bytes)
-        transcript += finished_bytes
+            if self.config.session_cache is not None and conn.session_id:
+                self.config.session_cache.store(conn.session_id, session, now)
+            if conn.issue_ticket:
+                conn.ticket = self.config.stek_store.issue(session, self._rng, now=now)
+            self.full_handshakes += 1
+        _HANDSHAKES[resumed, conn.cipher_suite.kex].value += 1
+        conn.completed = True
 
-        conn = ServerConnection(
-            client_hello=client_hello,
-            server_random=server_random,
-            cipher_suite=session.cipher_suite,
-            session_id=session_id,
-            sni=sni,
-            transcript=transcript,
-            resumed=True,
-            resumed_via=resumed_via,
-            session=session,
-        )
-        flight = serialize_records([handshake_record(b"".join(parts))])
-        return flight, conn
-
-    def _accept_full(
+    def first_flight(
         self,
-        client_hello: ClientHello,
-        suite: CipherSuite,
-        server_random: bytes,
-        transcript: bytes,
-        now: float,
-        sni: str,
-        certificate: X509Certificate,
-        private_key: RSAPrivateKey,
-    ) -> tuple[bytes, ServerConnection]:
-        will_issue_ticket = (
-            self.config.stek_store is not None
-            and self._client_offers_tickets(client_hello)
-        )
-        extensions = []
-        if will_issue_ticket:
-            extensions.append(encode_session_ticket(b""))
-        session_id = (
-            self._rng.random_bytes(SESSION_ID_LENGTH)
-            if self.config.issue_session_ids
-            else b""
-        )
+        conn: ServerConnection,
+        signing_key: RSAPrivateKey,
+        ticket: bytes,
+        finished: Callable[[bytes], bytes],
+    ) -> bytes:
+        """Serialize the handshake messages of ``conn``'s first flight.
+
+        ``signing_key`` signs the ServerKeyExchange, ``ticket`` is the
+        reissued ticket's bytes and ``finished`` maps the transcript to
+        a resumption's Finished verify_data.  :meth:`accept` passes the
+        real values; a fault that cuts the flight passes same-length
+        placeholders, since only the length matters there.
+        """
         server_hello = ServerHello(
             version=ProtocolVersion.TLS12,
-            random=server_random,
-            session_id=session_id,
-            cipher_suite=suite,
-            extensions=extensions,
+            random=conn.server_random,
+            session_id=conn.session_id,
+            cipher_suite=conn.cipher_suite,
+            extensions=[encode_session_ticket(b"")] if conn.issue_ticket else [],
         )
-        parts = [
-            serialize_handshake(server_hello),
-            _certificate_message_bytes(certificate),
-        ]
-
-        conn = ServerConnection(
-            client_hello=client_hello,
-            server_random=server_random,
-            cipher_suite=suite,
-            session_id=session_id,
-            sni=sni,
-            transcript=transcript,
-            resumed=False,
-            certificate=certificate,
-            private_key=private_key,
-            will_issue_ticket=will_issue_ticket,
-        )
-        if suite.kex == KeyExchangeKind.DHE:
-            keypair = self.kex_cache.get_dh(self.config.dh_group, self._rng, now)
-            conn.kex_dh = keypair
+        payload = serialize_handshake(server_hello)
+        if conn.resumed:
+            if conn.ticket is not None:
+                payload += serialize_handshake(NewSessionTicket(
+                    lifetime_hint_seconds=self.config.ticket_policy.lifetime_hint_seconds,
+                    ticket=ticket,
+                ))
+            verify = finished(conn.transcript + payload)
+            return payload + serialize_handshake(Finished(verify_data=verify))
+        parts = [payload, _certificate_message_bytes(conn.certificate)]
+        keypair = conn.kex_keypair
+        if keypair is not None:
+            build = build_dhe_kex if isinstance(keypair, dh.DHKeyPair) else build_ecdhe_kex
             parts.append(serialize_handshake(
-                build_dhe_kex(keypair, private_key, client_hello.random, server_random)
-            ))
-        elif suite.kex == KeyExchangeKind.ECDHE:
-            keypair = self.kex_cache.get_ec(self.config.curve, self._rng, now)
-            conn.kex_ec = keypair
-            parts.append(serialize_handshake(
-                build_ecdhe_kex(keypair, private_key, client_hello.random, server_random)
+                build(keypair, signing_key, conn.client_random, conn.server_random)
             ))
         parts.append(_SERVER_HELLO_DONE_BYTES)
-        payload = b"".join(parts)
-        conn.transcript += payload
-        flight = serialize_records([handshake_record(payload)])
-        return flight, conn
+        return b"".join(parts)
 
-    # -- handshake: second flight ----------------------------------------
+    # -- handshake: record-layer exchange ---------------------------------
+
+    def accept(self, client_hello_bytes: bytes) -> tuple[bytes, ServerConnection]:
+        """Process a ClientHello record; return our flight and the context.
+
+        Raises :class:`HandshakeFailure` on negotiation failure (the
+        scanner records these as handshake errors, like a fatal alert).
+        """
+        records = parse_records(client_hello_bytes)
+        if len(records) != 1:
+            raise HandshakeFailure("expected exactly one ClientHello record",
+                                   AlertDescription.UNEXPECTED_MESSAGE)
+        try:
+            message, remainder = parse_handshake(records[0].payload)
+        except DecodeError as exc:
+            raise HandshakeFailure(str(exc), AlertDescription.DECODE_ERROR) from exc
+        if remainder or not isinstance(message, ClientHello):
+            raise HandshakeFailure("first message must be ClientHello",
+                                   AlertDescription.UNEXPECTED_MESSAGE)
+        client_hello = message
+        if client_hello.version < ProtocolVersion.TLS10:
+            raise HandshakeFailure("client version too old")
+
+        sni_data = find_extension(client_hello.extensions, ExtensionType.SERVER_NAME)
+        ticket = find_extension(client_hello.extensions, ExtensionType.SESSION_TICKET)
+        conn = self.negotiate(
+            client_hello.random,
+            decode_server_name(sni_data) if sni_data is not None else "",
+            client_hello.cipher_suites,
+            client_hello.session_id,
+            ticket or b"",
+            ticket is not None,
+        )
+        conn.transcript = serialize_handshake(client_hello)
+        payload = self.first_flight(
+            conn,
+            conn.private_key,
+            bytes(conn.ticket) if conn.ticket is not None else b"",
+            lambda transcript: verify_data(
+                conn.session.master_secret, b"server finished", sha256(transcript)
+            ),
+        )
+        conn.transcript += payload
+        return serialize_records([handshake_record(payload)]), conn
 
     def finish_full(self, conn: ServerConnection, client_flight: bytes) -> bytes:
         """Process ClientKeyExchange + Finished; return NST? + Finished."""
         if conn.resumed or conn.completed:
             raise HandshakeFailure("connection not awaiting a full-handshake flight",
                                    AlertDescription.UNEXPECTED_MESSAGE)
-        now = self._now()
         records = parse_records(client_flight)
         payload = b"".join(r.payload for r in records)
         try:
@@ -462,9 +451,7 @@ class TLSServer:
             raise HandshakeFailure("expected ClientKeyExchange",
                                    AlertDescription.UNEXPECTED_MESSAGE)
         premaster = self._compute_premaster(conn, cke)
-        master = derive_master_secret(
-            premaster, conn.client_hello.random, conn.server_random
-        )
+        master = derive_master_secret(premaster, conn.client_random, conn.server_random)
         conn.transcript += serialize_handshake(cke)
 
         try:
@@ -474,59 +461,23 @@ class TLSServer:
         if remainder or not isinstance(client_finished, Finished):
             raise HandshakeFailure("expected Finished after ClientKeyExchange",
                                    AlertDescription.UNEXPECTED_MESSAGE)
-        expected = verify_data(master, b"client finished", sha256(conn.transcript))
-        if not constant_time_equal(client_finished.verify_data, expected):
-            self.failed_handshakes += 1
-            METRICS.counter(
-                "tls.server.handshake_failure", reason="finished_verify"
-            ).inc()
-            raise HandshakeFailure("client Finished verification failed",
-                                   AlertDescription.DECRYPT_ERROR)
+        self._verify_client_finished(client_finished, master, conn.transcript)
         conn.transcript += serialize_handshake(client_finished)
 
-        session = SessionState(
-            master_secret=master,
-            cipher_suite=conn.cipher_suite,
-            version=ProtocolVersion.TLS12,
-            created_at=now,
-            domain=conn.sni,
-        )
-        conn.session = session
-
-        if self.config.session_cache is not None and conn.session_id:
-            self.config.session_cache.store(conn.session_id, session, now)
-
-        parts = []
-        if conn.will_issue_ticket:
-            assert self.config.stek_store is not None
-            ticket = self.config.stek_store.issue(session, self._rng, now=now)
-            parts.append(
-                serialize_handshake(
-                    NewSessionTicket(
-                        lifetime_hint_seconds=self.config.ticket_policy.lifetime_hint_seconds,
-                        ticket=bytes(ticket),
-                    )
-                )
-            )
-        conn.transcript += b"".join(parts)
-        finished = Finished(
+        self.establish(conn, master)
+        payload = b""
+        if conn.ticket is not None:
+            payload = serialize_handshake(NewSessionTicket(
+                lifetime_hint_seconds=self.config.ticket_policy.lifetime_hint_seconds,
+                ticket=bytes(conn.ticket),
+            ))
+        conn.transcript += payload
+        finished_bytes = serialize_handshake(Finished(
             verify_data=verify_data(master, b"server finished", sha256(conn.transcript))
-        )
-        finished_bytes = serialize_handshake(finished)
-        parts.append(finished_bytes)
+        ))
         conn.transcript += finished_bytes
-        conn.completed = True
-        self.full_handshakes += 1
-        METRICS.counter(
-            "tls.server.handshake",
-            kind="full",
-            kex=conn.cipher_suite.kex.name.lower(),
-        ).inc()
-
-        keys = derive_connection_keys(session, conn.client_hello.random, conn.server_random)
-        conn.record_cipher = new_record_cipher(keys, is_client=False, suite=conn.cipher_suite)
-
-        return serialize_records([handshake_record(b"".join(parts))])
+        self._start_records(conn)
+        return serialize_records([handshake_record(payload + finished_bytes)])
 
     def finish_abbreviated(self, conn: ServerConnection, client_finished_bytes: bytes) -> None:
         """Verify the client Finished that closes an abbreviated handshake."""
@@ -542,9 +493,13 @@ class TLSServer:
         if remainder or not isinstance(message, Finished):
             raise HandshakeFailure("expected Finished",
                                    AlertDescription.UNEXPECTED_MESSAGE)
-        expected = verify_data(
-            conn.session.master_secret, b"client finished", sha256(conn.transcript)
-        )
+        self._verify_client_finished(message, conn.session.master_secret, conn.transcript)
+        conn.transcript += serialize_handshake(message)
+        self.establish(conn, conn.session.master_secret)
+        self._start_records(conn)
+
+    def _verify_client_finished(self, message: Finished, master: bytes, transcript: bytes) -> None:
+        expected = verify_data(master, b"client finished", sha256(transcript))
         if not constant_time_equal(message.verify_data, expected):
             self.failed_handshakes += 1
             METRICS.counter(
@@ -552,40 +507,29 @@ class TLSServer:
             ).inc()
             raise HandshakeFailure("client Finished verification failed",
                                    AlertDescription.DECRYPT_ERROR)
-        conn.transcript += serialize_handshake(message)
-        conn.completed = True
-        self.resumptions += 1
-        METRICS.counter(
-            "tls.server.handshake",
-            kind="abbreviated",
-            kex=conn.cipher_suite.kex.name.lower(),
-        ).inc()
-        keys = derive_connection_keys(
-            conn.session, conn.client_hello.random, conn.server_random
-        )
+
+    def _start_records(self, conn: ServerConnection) -> None:
+        keys = derive_connection_keys(conn.session, conn.client_random, conn.server_random)
         conn.record_cipher = new_record_cipher(keys, is_client=False, suite=conn.cipher_suite)
 
     def _compute_premaster(self, conn: ServerConnection, cke: ClientKeyExchange) -> bytes:
         kex = conn.cipher_suite.kex
         if kex == KeyExchangeKind.DHE:
-            assert conn.kex_dh is not None
             client_public = int.from_bytes(cke.exchange_data, "big")
             try:
-                return conn.kex_dh.shared_secret_bytes(client_public)
+                return conn.kex_keypair.shared_secret_bytes(client_public)
             except dh.InvalidPublicValue as exc:
                 raise HandshakeFailure(str(exc), AlertDescription.ILLEGAL_PARAMETER) from exc
         if kex == KeyExchangeKind.ECDHE:
-            assert conn.kex_ec is not None
             try:
-                point = ec.decode_point(conn.kex_ec.curve, cke.exchange_data)
-                return conn.kex_ec.shared_secret_bytes(point)
+                point = ec.decode_point(conn.kex_keypair.curve, cke.exchange_data)
+                return conn.kex_keypair.shared_secret_bytes(point)
             except (ValueError, ec.NotOnCurveError) as exc:
                 raise HandshakeFailure(str(exc), AlertDescription.ILLEGAL_PARAMETER) from exc
         # Static RSA: the client encrypted the premaster to our public key.
         ciphertext = int.from_bytes(cke.exchange_data, "big")
-        private_key = conn.private_key or self.config.private_key
         try:
-            plain = private_key.decrypt_raw(ciphertext)
+            plain = conn.private_key.decrypt_raw(ciphertext)
         except ValueError as exc:
             raise HandshakeFailure(str(exc), AlertDescription.DECODE_ERROR) from exc
         premaster = plain.to_bytes(48, "big")

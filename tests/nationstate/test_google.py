@@ -15,6 +15,7 @@ from repro.nationstate.google import (
 )
 from repro.netsim.clock import HOUR
 from repro.scanner import ZGrabber
+from repro.tls.messages import NewSessionTicket
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,34 @@ def test_non_mail_provider_has_no_mail_tls(eco, grabber):
     from repro.nationstate.google import measure_cross_protocol_stek
 
     assert measure_cross_protocol_stek(grabber, "yahoo.com") == []
+
+
+def _mail_tickets_replaced_by(grabber, monkeypatch, ticket):
+    """Make every mail-port grab come back with ``ticket`` as its ticket."""
+    connect = grabber.connect
+
+    def replacing(domain, **kwargs):
+        result, address, error = connect(domain, **kwargs)
+        if kwargs.get("port", 443) != 443 and result is not None and result.new_ticket:
+            result.new_ticket = NewSessionTicket(300, ticket)
+        return result, address, error
+
+    monkeypatch.setattr(grabber, "connect", replacing)
+
+
+def test_malformed_mail_ticket_is_skipped(eco, grabber, monkeypatch):
+    from repro.nationstate.google import measure_cross_protocol_stek
+
+    _mail_tickets_replaced_by(grabber, monkeypatch, b"\x01\x02")
+    assert measure_cross_protocol_stek(grabber, "google.com") == []
+
+
+def test_non_ticket_value_is_not_swallowed(eco, grabber, monkeypatch):
+    from repro.nationstate.google import measure_cross_protocol_stek
+
+    _mail_tickets_replaced_by(grabber, monkeypatch, 1234)
+    with pytest.raises(TypeError):
+        measure_cross_protocol_stek(grabber, "google.com")
 
 
 def test_shared_stek_domain_count(eco, grabber):

@@ -13,9 +13,9 @@ pins byte-for-byte dataset equality plus merged-metric equality:
   loop runs per shard, inside each worker).
 
 Chaos + retry + breaker are enabled throughout so the equivalence
-covers the paths where the event core delegates back to the oracle
-(fault-impaired connections) and where retry backoff advances virtual
-time from inside a pumped task.
+covers fault-impaired connections (a reset or a truncated first flight,
+which the fast path injects at the same flight boundary as the oracle)
+and retry backoff advancing virtual time from inside a pumped task.
 """
 
 import hashlib
@@ -32,14 +32,16 @@ from repro.scanner import StudyConfig, run_study_with_stats
 POPULATION = 320
 ECOSYSTEM_SEED = 2016
 
-#: Full-span windows so faults (and therefore retries, breaker trips,
-#: and oracle delegation for impaired servers) fire during the study.
+#: Full-span windows so faults (and therefore retries and breaker
+#: trips) fire during the study.
 CHAOS_PROFILE = {
     "schema": PROFILE_SCHEMA,
     "seed": 7,
     "windows": [
         {"kind": "outage", "start_day": 0, "end_day": 2, "rate": 0.3},
         {"kind": "reset", "start_day": 0, "end_day": 2, "rate": 0.1,
+         "period_seconds": 600.0},
+        {"kind": "truncate", "start_day": 0, "end_day": 2, "rate": 0.1,
          "period_seconds": 600.0},
         {"kind": "nxdomain", "start_day": 0, "end_day": 2, "rate": 0.05},
         {"kind": "latency", "start_day": 0, "end_day": 2, "rate": 0.05,
@@ -153,7 +155,10 @@ class TestScaleEquivalence:
         path = os.path.join(runs["event"]["telemetry"], "metrics.json")
         with open(path) as fh:
             counters = json.load(fh)["counters"]
-        assert any(key.startswith("faults.injected") for key in counters)
+        for kind in ("reset", "truncate"):
+            assert any(
+                key.startswith("faults.injected") and kind in key for key in counters
+            ), f"no {kind} fault fired"
         stats = runs["event"]["stats"]
         dataset = runs["event"]["dataset"]
         recorded = sum(
