@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..obs.metrics import METRICS
-from ..obs.trace import TRACER
 from ..scanner.checkpoint import fingerprint_digest
 from ..scanner.datastore import channel_path, read_meta
 from .aggregates import ShardAggregate, default_aggregates
@@ -211,24 +210,20 @@ class AnalysisEngine:
     def run(self) -> AnalysisResult:
         started = time.monotonic()
         meta = read_meta(self.directory)
-        with TRACER.span("analysis.plan", directory=self.directory):
-            plan = plan_chunks(self.directory, self.channels(),
-                               self.chunk_bytes)
+        plan = plan_chunks(self.directory, self.channels(), self.chunk_bytes)
         tasks = [
             (self.directory, chunk, self.aggregates, self.use_cache)
             for chunk in plan
         ]
-        with TRACER.span("analysis.fold", chunks=len(plan),
-                         workers=self.workers):
-            if self.workers > 1 and len(tasks) > 1:
-                pool_size = min(self.workers, len(tasks))
-                with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                    # pool.map preserves submission order, so outcomes
-                    # arrive in deterministic (channel, offset) order no
-                    # matter which worker finishes first.
-                    outcomes = list(pool.map(_run_chunk, tasks))
-            else:
-                outcomes = [_run_chunk(task) for task in tasks]
+        if self.workers > 1 and len(tasks) > 1:
+            pool_size = min(self.workers, len(tasks))
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                # pool.map preserves submission order, so outcomes
+                # arrive in deterministic (channel, offset) order no
+                # matter which worker finishes first.
+                outcomes = list(pool.map(_run_chunk, tasks))
+        else:
+            outcomes = [_run_chunk(task) for task in tasks]
         by_channel: Dict[str, List[ChunkOutcome]] = {}
         channel_rows: Dict[str, int] = {}
         cache_hits = cache_misses = 0
@@ -242,13 +237,12 @@ class AnalysisEngine:
             else:
                 cache_misses += 1
         outputs: Dict[str, object] = {}
-        with TRACER.span("analysis.merge", aggregates=len(self.aggregates)):
-            for agg in self.aggregates:
-                state = agg.zero()
-                for channel in agg.channels:
-                    for outcome in by_channel.get(channel, []):
-                        state = agg.merge(state, outcome.states[agg.name])
-                outputs[agg.name] = agg.finalize(state, meta)
+        for agg in self.aggregates:
+            state = agg.zero()
+            for channel in agg.channels:
+                for outcome in by_channel.get(channel, []):
+                    state = agg.merge(state, outcome.states[agg.name])
+            outputs[agg.name] = agg.finalize(state, meta)
         METRICS.counter("analysis.chunks").inc(len(plan))
         METRICS.counter("analysis.cache.hit").inc(cache_hits)
         METRICS.counter("analysis.cache.miss").inc(cache_misses)

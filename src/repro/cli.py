@@ -12,7 +12,8 @@ Subcommands mirror the library's workflow:
 * ``report DIR``    — regenerate the paper's tables from a saved
   dataset.
 * ``stats DIR``     — render the telemetry a study wrote with
-  ``--telemetry-dir`` (run manifest, metrics, cache effectiveness);
+  ``--telemetry-dir`` (run manifest, peak RSS, metrics, cache
+  effectiveness);
   ``--prometheus`` emits the text exposition instead.
 * ``audit DIR``     — vulnerability windows + §8.2 mitigation
   counterfactuals from a saved dataset.
@@ -400,11 +401,8 @@ def cmd_bench(args) -> int:
     forwarded: list[str] = []
     if args.quick:
         forwarded.append("--quick")
-    forwarded += ["--label", args.label]
     if args.out:
         forwarded += ["--out", args.out]
-    if args.baseline:
-        forwarded += ["--baseline", args.baseline]
     return bench_main(forwarded)
 
 
@@ -700,9 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "as they are produced instead of holding them "
                             "in memory (may equal --out)")
     study.add_argument("--telemetry-dir", default=None,
-                       help="write a run manifest, merged metrics, and trace "
-                            "spans here (must NOT be the dataset directory; "
-                            "inspect with `repro stats`)")
+                       help="write a run manifest (grabs/sec, peak RSS) and "
+                            "merged metrics here (must NOT be the dataset "
+                            "directory; inspect with `repro stats`)")
     chaos = study.add_mutually_exclusive_group()
     chaos.add_argument("--chaos", type=int, default=None, metavar="SEED",
                        help="inject a deterministic seeded fault schedule "
@@ -817,13 +815,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_analysis_arguments(audit)
     audit.set_defaults(func=cmd_audit)
 
-    bench = sub.add_parser("bench", help="micro + end-to-end performance benchmarks")
+    bench = sub.add_parser("bench", help="primitive micro-benchmarks (ops/sec)")
     bench.add_argument("--quick", action="store_true",
                        help="short timing windows (CI smoke mode)")
-    bench.add_argument("--label", default="dev")
     bench.add_argument("--out", default=None, help="write JSON report here")
-    bench.add_argument("--baseline", default=None,
-                       help="baseline JSON to compute speedups against")
     bench.set_defaults(func=cmd_bench)
 
     target = sub.add_parser("target", help="§7.2 nation-state target analysis")

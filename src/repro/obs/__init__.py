@@ -4,10 +4,8 @@ Cooperating layers (see DESIGN.md §8 and §11):
 
 * :mod:`repro.obs.metrics` — process-local counters/gauges/histograms
   with deterministic cross-process snapshot merging;
-* :mod:`repro.obs.trace` — opt-in span tracing with a ring-buffer sink
-  and JSONL export;
 * :mod:`repro.obs.manifest` / :mod:`repro.obs.report` — run manifests
-  (provenance + timing + cache effectiveness) and their human /
+  (provenance, timing, peak memory, cache effectiveness) and their human /
   Prometheus renderings;
 * :mod:`repro.obs.events` — the structured JSONL event log
   (``repro-events/1``) a live run streams to disk;
@@ -25,7 +23,6 @@ or alter record content — study bytes are identical with telemetry on
 or off.
 """
 
-from . import trace
 from .events import EVENTS, EventLog, EventWriter, load_events, validate_events
 from .exporter import LivePlane, ObservabilityServer, SpoolPoller, SpoolPush
 from .manifest import (
@@ -33,7 +30,6 @@ from .manifest import (
     METRICS_NAME,
     PROMETHEUS_NAME,
     SCHEMA,
-    TRACE_NAME,
     build_manifest,
     config_dict,
     git_describe,
@@ -65,7 +61,6 @@ from .report import (
 )
 
 __all__ = [
-    "trace",
     "EVENTS",
     "EventLog",
     "EventWriter",
@@ -96,7 +91,6 @@ __all__ = [
     "MANIFEST_NAME",
     "METRICS_NAME",
     "PROMETHEUS_NAME",
-    "TRACE_NAME",
     "git_describe",
     "config_dict",
     "build_manifest",

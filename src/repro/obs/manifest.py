@@ -9,7 +9,8 @@ directory records
 * exactly what was run — study + ecosystem configuration, seed,
   shard/worker layout, and ``git describe`` of the producing tree;
 * how it went — wall-clock per shard and per day, grabs and grab
-  rates, per-experiment scan counts, per-channel record counts;
+  rates, peak resident memory (``run.peak_rss_mib``), per-experiment
+  scan counts, per-channel record counts;
 * what the hot paths did — crypto cache hit/miss rates, handshake and
   resumption counters (the merged metrics snapshot lives in a sibling
   ``metrics.json``; the manifest embeds only the headline summaries).
@@ -19,7 +20,6 @@ A telemetry directory contains::
     manifest.json   this record
     metrics.json    merged MetricsRegistry snapshot (shard order)
     metrics.prom    Prometheus-style text exposition of the same
-    trace.jsonl     span records (ring-buffer tail, per process)
 
 Everything here is output-neutral: manifests are written *next to*
 the dataset (never into it), draw no randomness, and never touch
@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
+import sys
 import time
 from typing import Optional
 
@@ -40,7 +42,6 @@ SCHEMA = "repro-telemetry/1"
 MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.json"
 PROMETHEUS_NAME = "metrics.prom"
-TRACE_NAME = "trace.jsonl"
 
 
 def git_describe(cwd: Optional[str] = None) -> str:
@@ -64,6 +65,20 @@ def git_describe(cwd: Optional[str] = None) -> str:
     if completed.returncode != 0:
         return "unknown"
     return completed.stdout.strip() or "unknown"
+
+
+def peak_rss_mib() -> float:
+    """Peak resident set size of the run, in MiB.
+
+    The larger ``ru_maxrss`` of this process and of its largest
+    finished child, so shards run in pool workers count once the pool
+    has been joined.  Linux reports KiB, macOS bytes.
+    """
+    peak = max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+    return round(peak / (1024 * 1024 if sys.platform == "darwin" else 1024), 1)
 
 
 def _jsonable(value):
@@ -101,8 +116,6 @@ def build_manifest(
     extra: Optional[dict] = None,
 ) -> dict:
     """Assemble a manifest dict (see module docstring for the shape)."""
-    import sys
-
     manifest = {
         "schema": SCHEMA,
         "label": label,
@@ -122,7 +135,6 @@ def build_manifest(
         "files": {
             "metrics": METRICS_NAME,
             "prometheus": PROMETHEUS_NAME,
-            "trace": TRACE_NAME,
         },
     }
     if extra:
@@ -177,6 +189,10 @@ def validate_manifest(manifest: dict) -> list[str]:
         elapsed = run.get("elapsed_seconds")
         if not isinstance(elapsed, (int, float)) or elapsed < 0:
             errors.append("run.elapsed_seconds missing or negative")
+        # Optional: manifests written before it was measured lack it.
+        rss = run.get("peak_rss_mib")
+        if rss is not None and (not isinstance(rss, (int, float)) or rss <= 0):
+            errors.append("run.peak_rss_mib is not a positive number")
     channels = manifest.get("channels", {})
     if isinstance(channels, dict):
         for name, count in channels.items():
@@ -224,7 +240,7 @@ __all__ = [
     "MANIFEST_NAME",
     "METRICS_NAME",
     "PROMETHEUS_NAME",
-    "TRACE_NAME",
+    "peak_rss_mib",
     "git_describe",
     "config_dict",
     "build_manifest",

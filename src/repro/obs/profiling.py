@@ -6,13 +6,13 @@ flag check when disabled):
 * **Phase timers** — :meth:`Profiler.phase` context managers accumulate
   wall-clock per named phase (``ecosystem.advance``,
   ``experiment.<name>``, ``finalize``, ``metadata``), answering
-  "where did the shard's time go?" at a coarser, cheaper grain than
-  span tracing.
+  "where did the shard's time go?" per engine phase.
 
 * **Slowest grabs** — a bounded top-N heap of ``(seconds, domain)``
   observed by the grabber, answering "which domains are dragging?".
 
-* **cProfile** — each shard optionally runs under :mod:`cProfile` and
+* **cProfile** — each shard optionally runs under :mod:`cProfile`
+  (:func:`start_shard_profile` / :func:`stop_shard_profile`) and
   dumps ``shard-NN.pstats`` into the profile directory; the parent
   aggregates every dump with :mod:`pstats` into ``profile.txt`` plus a
   machine-readable ``summary.json`` that ``repro stats`` renders.
@@ -109,26 +109,6 @@ class Profiler:
 
 #: The process-local profiler instrumented modules bind to.
 PROFILER = Profiler()
-
-
-@contextmanager
-def shard_profile(profile_dir: Optional[str], shard_id: int):
-    """Run a shard under cProfile, dumping ``shard-NN.pstats``.
-
-    A no-op context when ``profile_dir`` is None, so callers wrap
-    unconditionally.
-    """
-    if profile_dir is None:
-        yield None
-        return
-    os.makedirs(profile_dir, exist_ok=True)
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        yield profile
-    finally:
-        profile.disable()
-        profile.dump_stats(pstats_path(profile_dir, shard_id))
 
 
 def pstats_path(profile_dir: str, shard_id: int) -> str:
@@ -295,7 +275,6 @@ __all__ = [
     "TOP_FUNCTIONS",
     "Profiler",
     "PROFILER",
-    "shard_profile",
     "pstats_path",
     "merge_profiles",
     "aggregate_pstats",

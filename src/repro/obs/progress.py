@@ -131,9 +131,6 @@ class ProgressTracker:
                 "eta_s": round(eta, 3) if eta is not None else None,
             }
 
-    def render_line(self) -> str:
-        return render_progress(self.snapshot())
-
 
 def format_duration(seconds: Optional[float]) -> str:
     """``93.5`` → ``1m34s``; None → ``?``."""

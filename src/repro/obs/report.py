@@ -383,6 +383,8 @@ def render_stats_report(manifest: dict, metrics: dict) -> str:
             f"{run.get('elapsed_seconds', 0.0):.2f}s "
             f"({run.get('grabs_per_sec', 0.0):,.1f} grabs/s)"
         )
+        if run.get("peak_rss_mib"):
+            lines.append(f"  peak RSS {run['peak_rss_mib']:,.1f} MiB")
         if run.get("failures"):
             lines.append(f"  {run['failures']:,} failed grabs")
 

@@ -179,7 +179,6 @@ class CheckpointStore:
             "metrics": result.metrics,
             "day_seconds": result.day_seconds,
             "elapsed_seconds": result.elapsed_seconds,
-            "spans": result.spans,
             "events": result.events,
             "profile": result.profile,
         }
@@ -219,8 +218,8 @@ class CheckpointStore:
                 metrics=payload["metrics"],
                 day_seconds=payload["day_seconds"],
                 elapsed_seconds=payload["elapsed_seconds"],
-                spans=payload["spans"],
-                # .get(): checkpoints from before the live plane lack these.
+                # .get(): checkpoints from before the live plane lack
+                # these; a "spans" key from older checkpoints is ignored.
                 events=payload.get("events", []),
                 profile=payload.get("profile", {}),
             )

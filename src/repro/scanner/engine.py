@@ -47,7 +47,6 @@ from ..obs.metrics import (
     METRICS,
     cache_stats,
     merge_snapshots,
-    parse_key,
     reset_process_caches,
 )
 from ..obs.profiling import (
@@ -57,7 +56,6 @@ from ..obs.profiling import (
     write_profile_summary,
 )
 from ..obs.report import render_prometheus
-from ..obs.trace import TRACER, export_jsonl
 from .checkpoint import CheckpointMismatch, CheckpointStore, checkpoint_fingerprint
 from .datastore import (
     concatenate_channels,
@@ -158,8 +156,6 @@ class ShardResult:
     day_seconds: list = field(default_factory=list)
     #: Wall-clock of the whole shard run.
     elapsed_seconds: float = 0.0
-    #: Trace spans drained from this shard's process (ring-buffer tail).
-    spans: list = field(default_factory=list)
     #: Structured events drained from this shard's process (see
     #: repro.obs.events) — empty unless the live plane's event log is on.
     events: list = field(default_factory=list)
@@ -312,12 +308,7 @@ def run_shard(
             if day not in scheduled_days:
                 continue
             grabs_before = grabber.grabs
-            with TRACER.span(
-                "experiment.day",
-                experiment=experiment.name,
-                day=day,
-                shard=shard_id,
-            ), PROFILER.phase(f"experiment.{experiment.name}"):
+            with PROFILER.phase(f"experiment.{experiment.name}"):
                 experiment.run_day(ctx, day)
             day_grabs = grabber.grabs - grabs_before
             stats.scans_by_experiment[experiment.name] = (
@@ -399,7 +390,6 @@ def run_shard(
         metrics=METRICS.snapshot_delta(metrics_base),
         day_seconds=day_seconds,
         elapsed_seconds=round(time.perf_counter() - shard_started, 6),
-        spans=TRACER.drain() if TRACER.enabled else [],
         events=shard_events,
         profile=profile,
     )
@@ -418,10 +408,8 @@ def _shard_worker(args) -> ShardResult:
 
     (
         ecosystem_config, study_config, shard_id, shard_count, stream_dir,
-        trace, spool_dir, events, profile_dir,
+        spool_dir, events, profile_dir,
     ) = args
-    if trace:
-        TRACER.enable()
     live_push = None
     if spool_dir is not None:
         from ..obs.exporter import SpoolPush
@@ -473,10 +461,10 @@ class StudyEngine:
         ``workers`` only parallelizes shard execution.  ``stream_dir``
         switches the storage layer to streaming JSONL: records spill to
         disk as produced and the returned dataset holds lazy views.
-        ``telemetry_dir`` enables span tracing and, after the merge,
-        writes a run manifest, merged metrics snapshot, Prometheus
-        exposition, and trace JSONL there.  Telemetry never touches the
-        dataset: pass a directory *outside* ``stream_dir``.
+        ``telemetry_dir`` writes a run manifest (with the run's peak
+        RSS), merged metrics snapshot and Prometheus exposition there
+        after the merge.  Telemetry never touches the dataset: pass a
+        directory *outside* ``stream_dir``.
 
         Streamed runs checkpoint each completed shard under
         ``<stream_dir>/checkpoint/`` (see :mod:`.checkpoint`);
@@ -513,15 +501,13 @@ class StudyEngine:
             raise ValueError("shards must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if telemetry_dir is not None:
-            if stream_dir is not None and (
-                os.path.abspath(telemetry_dir) == os.path.abspath(stream_dir)
-            ):
-                raise ValueError(
-                    "telemetry_dir must not be the dataset stream_dir "
-                    "(telemetry lives next to the dataset, not inside it)"
-                )
-            TRACER.enable()
+        if telemetry_dir is not None and stream_dir is not None and (
+            os.path.abspath(telemetry_dir) == os.path.abspath(stream_dir)
+        ):
+            raise ValueError(
+                "telemetry_dir must not be the dataset stream_dir "
+                "(telemetry lives next to the dataset, not inside it)"
+            )
 
         store = CheckpointStore(stream_dir) if stream_dir is not None else None
         fingerprint = checkpoint_fingerprint(
@@ -585,7 +571,6 @@ class StudyEngine:
         else:
             results = list(completed.values()) + self._run_sharded(
                 ecosystem, shards, workers, stream_dir, shard_progress,
-                trace=telemetry_dir is not None,
                 todo=todo, store=store, fail_fast=fail_fast,
                 live=live, events=events, profile_dir=profile_dir,
             )
@@ -602,10 +587,7 @@ class StudyEngine:
         if live is not None:
             live.study_finished(stats)
         if telemetry_dir is not None:
-            try:
-                self._write_telemetry(telemetry_dir, ecosystem, results, stats)
-            finally:
-                TRACER.disable()
+            self._write_telemetry(telemetry_dir, ecosystem, results, stats)
         return dataset, stats
 
     # -- sharded execution -------------------------------------------------
@@ -617,7 +599,6 @@ class StudyEngine:
         workers: int,
         stream_dir: Optional[str],
         shard_progress: Optional[ShardProgress],
-        trace: bool = False,
         todo: Optional[list[int]] = None,
         store: Optional[CheckpointStore] = None,
         fail_fast: bool = False,
@@ -711,8 +692,7 @@ class StudyEngine:
                 futures = {
                     pool.submit(_shard_worker, (
                         ecosystem.config, config, shard_id, shards,
-                        subdir(shard_id), trace, spool_dir, events,
-                        profile_dir,
+                        subdir(shard_id), spool_dir, events, profile_dir,
                     )): shard_id
                     for shard_id in todo
                 }
@@ -853,7 +833,7 @@ class StudyEngine:
         results: list[ShardResult],
         stats: StudyStats,
     ) -> None:
-        """Write manifest.json / metrics.json / metrics.prom / trace.jsonl."""
+        """Write manifest.json / metrics.json / metrics.prom."""
         config = self.config
         ordered = sorted(results, key=lambda r: r.shard_id)
         merged = self.merged_metrics(ordered)
@@ -880,6 +860,7 @@ class StudyEngine:
                 "failures": failures,
                 "elapsed_seconds": round(stats.elapsed_seconds, 3),
                 "grabs_per_sec": round(stats.grabs_per_sec, 1),
+                "peak_rss_mib": obs_manifest.peak_rss_mib(),
             },
             shards=[
                 {
@@ -906,13 +887,6 @@ class StudyEngine:
             encoding="utf-8",
         ) as fh:
             fh.write(render_prometheus(merged))
-        spans: list = []
-        for result in ordered:
-            spans.extend(result.spans)
-        spans.extend(TRACER.drain())  # engine-process leftovers, if any
-        export_jsonl(
-            os.path.join(telemetry_dir, obs_manifest.TRACE_NAME), spans
-        )
 
 
 __all__ = [

@@ -37,7 +37,6 @@ from ..netsim.network import ConnectTimeout
 from ..obs.events import EVENTS
 from ..obs.metrics import DEFAULT_SECONDS_BUCKETS, METRICS
 from ..obs.profiling import PROFILER
-from ..obs.trace import TRACER
 from ..tls.ciphers import CipherSuite, MODERN_BROWSER_OFFER
 from ..tls.client import HandshakeResult, TLSClient
 from ..tls.constants import KeyExchangeKind
@@ -208,54 +207,53 @@ class ZGrabber:
         self.grabs += 1
         _GRAB_TOTAL.value += 1
         started = time.perf_counter()
-        with TRACER.span("handshake", domain=domain, port=port):
-            try:
-                address = (
-                    ip if ip is not None
-                    else self.ecosystem.dns.resolve(domain, self._rng)
-                )
-            except NXDomainError:
-                self.failures += 1
-                _GRAB_FAILURE["nxdomain"].value += 1
-                elapsed = time.perf_counter() - started
-                _GRAB_SECONDS.observe(elapsed)
-                PROFILER.observe_grab(domain, elapsed)
-                return None, "", "nxdomain", "nxdomain"
-            try:
-                server = self.ecosystem.network.connect(address, port, domain=domain)
-            except ConnectTimeout as exc:
-                self.failures += 1
-                reason = getattr(exc, "reason", "connect_timeout")
-                _GRAB_FAILURE[reason].value += 1
-                elapsed = time.perf_counter() - started
-                _GRAB_SECONDS.observe(elapsed)
-                PROFILER.observe_grab(domain, elapsed)
-                return None, str(address), f"connect: {exc}", reason
-            # Captures need real record flights; everything else,
-            # fault-injected connections included, skips the
-            # unobservable crypto with identical draws and side effects.
-            if self.fast and not capture:
-                result = fast_handshake(
-                    self.client,
-                    server,
-                    server_name=domain,
-                    offer=offer,
-                    session_id=session_id,
-                    ticket=ticket,
-                    saved_session=saved_session,
-                    offer_tickets=offer_tickets,
-                )
-            else:
-                result = self.client.connect(
-                    server,
-                    server_name=domain,
-                    offer=offer,
-                    session_id=session_id,
-                    ticket=ticket,
-                    saved_session=saved_session,
-                    offer_tickets=offer_tickets,
-                    capture=capture,
-                )
+        try:
+            address = (
+                ip if ip is not None
+                else self.ecosystem.dns.resolve(domain, self._rng)
+            )
+        except NXDomainError:
+            self.failures += 1
+            _GRAB_FAILURE["nxdomain"].value += 1
+            elapsed = time.perf_counter() - started
+            _GRAB_SECONDS.observe(elapsed)
+            PROFILER.observe_grab(domain, elapsed)
+            return None, "", "nxdomain", "nxdomain"
+        try:
+            server = self.ecosystem.network.connect(address, port, domain=domain)
+        except ConnectTimeout as exc:
+            self.failures += 1
+            reason = getattr(exc, "reason", "connect_timeout")
+            _GRAB_FAILURE[reason].value += 1
+            elapsed = time.perf_counter() - started
+            _GRAB_SECONDS.observe(elapsed)
+            PROFILER.observe_grab(domain, elapsed)
+            return None, str(address), f"connect: {exc}", reason
+        # Captures need real record flights; everything else,
+        # fault-injected connections included, skips the
+        # unobservable crypto with identical draws and side effects.
+        if self.fast and not capture:
+            result = fast_handshake(
+                self.client,
+                server,
+                server_name=domain,
+                offer=offer,
+                session_id=session_id,
+                ticket=ticket,
+                saved_session=saved_session,
+                offer_tickets=offer_tickets,
+            )
+        else:
+            result = self.client.connect(
+                server,
+                server_name=domain,
+                offer=offer,
+                session_id=session_id,
+                ticket=ticket,
+                saved_session=saved_session,
+                offer_tickets=offer_tickets,
+                capture=capture,
+            )
         reason = None
         if not result.ok:
             self.failures += 1

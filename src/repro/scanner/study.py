@@ -250,8 +250,8 @@ def run_study_with_stats(
 ) -> tuple[StudyDataset, StudyStats]:
     """Like :func:`run_study` but also returns a :class:`StudyStats`.
 
-    ``telemetry_dir`` additionally writes a run manifest, merged
-    metrics, and trace spans there (see :mod:`repro.obs`); it must not
+    ``telemetry_dir`` additionally writes a run manifest and merged
+    metrics there (see :mod:`repro.obs`); it must not
     point into the dataset directory.  ``live`` feeds a running
     :class:`repro.obs.exporter.LivePlane` (progress, live metrics,
     events) and ``profile_dir`` collects per-shard cProfile dumps —

@@ -82,6 +82,26 @@ class TestValidate:
         manifest = build_manifest(run=run, shards=[{"shard_id": 0}])
         assert any("run.shards=2" in e for e in validate_manifest(manifest))
 
+    def test_non_positive_peak_rss_is_flagged(self):
+        for bad in (0, -1.0, "12"):
+            run = dict(_valid_run(), peak_rss_mib=bad)
+            errors = validate_manifest(build_manifest(run=run))
+            assert any("run.peak_rss_mib" in e for e in errors), bad
+
+    def test_peak_rss_is_the_larger_of_process_and_children(self, monkeypatch):
+        import resource
+        from types import SimpleNamespace
+
+        from repro.obs import manifest as obs_manifest
+
+        maxrss = {resource.RUSAGE_SELF: 40 * 1024, resource.RUSAGE_CHILDREN: 60 * 1024}
+        monkeypatch.setattr(
+            obs_manifest.resource, "getrusage",
+            lambda who: SimpleNamespace(ru_maxrss=maxrss[who]),
+        )
+        monkeypatch.setattr(obs_manifest.sys, "platform", "linux")
+        assert obs_manifest.peak_rss_mib() == 60.0
+
     def test_non_dict_manifest(self):
         assert validate_manifest([]) == ["manifest is not a JSON object"]
 

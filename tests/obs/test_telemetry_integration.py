@@ -11,7 +11,6 @@ The two hard constraints from the telemetry design:
   are explicitly exempt — they measure wall clock).
 """
 
-import json
 import os
 
 import pytest
@@ -81,7 +80,7 @@ class TestTelemetryArtifacts:
     def test_all_four_files_written(self, telemetry):
         directory, _ = telemetry
         assert sorted(os.listdir(directory)) == [
-            "manifest.json", "metrics.json", "metrics.prom", "trace.jsonl",
+            "manifest.json", "metrics.json", "metrics.prom",
         ]
 
     def test_manifest_validates_and_matches_stats(self, telemetry):
@@ -110,14 +109,10 @@ class TestTelemetryArtifacts:
         )
         assert client == server
 
-    def test_trace_spans_are_valid_jsonl(self, telemetry):
+    def test_run_records_peak_rss(self, telemetry):
         directory, _ = telemetry
-        with open(directory / "trace.jsonl", "r", encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh]
-        assert records, "tracing was enabled; spans expected"
-        names = {record["name"] for record in records}
-        assert "handshake" in names
-        assert all(record["duration_s"] >= 0 for record in records)
+        peak = load_manifest(str(directory))["run"]["peak_rss_mib"]
+        assert isinstance(peak, float) and peak > 0
 
     def test_renderers_accept_real_artifacts(self, telemetry):
         directory, _ = telemetry

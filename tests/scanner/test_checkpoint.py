@@ -7,6 +7,7 @@ dataset directory carries no trace of the interruption.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -109,7 +110,10 @@ class TestResume:
         assert not os.path.exists(os.path.join(str(uninterrupted), "checkpoint"))
         assert not os.path.exists(os.path.join(str(uninterrupted), "shards"))
 
-    def test_resumed_run_is_byte_identical(self, uninterrupted, tmp_path):
+    @pytest.mark.parametrize("payload_format", ["current", "parent-format"])
+    def test_resumed_run_is_byte_identical(
+        self, uninterrupted, tmp_path, payload_format
+    ):
         out = str(tmp_path / "resumed")
         config = _config(shards=self.SHARDS)
         ecosystem = _ecosystem()
@@ -124,6 +128,19 @@ class TestResume:
         )
         store.save_shard(partial)
         assert store.completed_shards() == [1]
+        path = os.path.join(store.directory, "shard-01.json")
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert "spans" not in payload
+        if payload_format == "parent-format":
+            # Checkpoints written while the span tracer existed carry
+            # its ring-buffer tail; resuming must ignore it.
+            payload["spans"] = [{
+                "name": "handshake", "start_s": 1.0, "duration_s": 0.001,
+                "pid": 1, "attrs": {"domain": "example.com", "port": 443},
+            }]
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
 
         run_study(ecosystem, config, stream_dir=out, resume=True)
         assert _dataset_digest(out) == _dataset_digest(str(uninterrupted))

@@ -1,6 +1,7 @@
 """CLI tests: each subcommand end to end on tiny inputs."""
 
 import hashlib
+import shutil
 
 import pytest
 
@@ -147,7 +148,7 @@ def test_study_writes_telemetry_next_to_dataset(telemetry_run):
     assert (telemetry / "manifest.json").exists()
     assert (telemetry / "metrics.json").exists()
     assert (telemetry / "metrics.prom").exists()
-    assert (telemetry / "trace.jsonl").exists()
+    assert not (telemetry / "trace.jsonl").exists()
     # ... and nothing leaked into the dataset directory.
     assert not (out / "manifest.json").exists()
 
@@ -157,11 +158,31 @@ def test_stats_renders_report(telemetry_run, capsys):
     assert main(["stats", str(telemetry)]) == 0
     out = capsys.readouterr().out
     assert "run manifest: study" in out
+    assert "MiB" in out.split("peak RSS", 1)[1].splitlines()[0]
     assert "per-experiment grabs:" in out
     assert "cache effectiveness:" in out
     # The scan hot path's crypto cache: the per-STEK key-schedule cache
     # (the process-wide aes_for_key LRU no longer sees study traffic).
     assert "crypto.aes.stek_cipher" in out
+
+
+def test_stats_accepts_parent_format_manifest(telemetry_run, tmp_path, capsys):
+    """Manifests from before the tracer was retired list a ``trace``
+    file and carry no ``peak_rss_mib``; they still validate and render."""
+    from repro.obs import load_manifest, validate_manifest, write_manifest
+
+    _, telemetry = telemetry_run
+    old = tmp_path / "old-telemetry"
+    shutil.copytree(telemetry, old)
+    manifest = load_manifest(str(old))
+    manifest["files"]["trace"] = "trace.jsonl"
+    del manifest["run"]["peak_rss_mib"]
+    write_manifest(str(old), manifest)
+    (old / "trace.jsonl").write_text('{"name": "handshake"}\n')
+    assert validate_manifest(manifest) == []
+    assert main(["stats", str(old)]) == 0
+    out = capsys.readouterr().out
+    assert "run manifest: study" in out and "peak RSS" not in out
 
 
 def test_stats_prometheus_exposition(telemetry_run, capsys):
