@@ -114,15 +114,16 @@ def bench_data():
     ecosystem = build_ecosystem(
         EcosystemConfig(population=BENCH_POPULATION, seed=BENCH_SEED)
     )
-    dataset = run_study(
-        ecosystem,
-        bench_study_config(),
-        progress=lambda day, days: print(
-            f"\r[bench corpus] day {day + 1}/{days} "
-            f"({time.time() - started:.0f}s elapsed)",
-            end="", flush=True,
-        ),
-    )
+
+    def progress(shard_id, shards, day, days):
+        if day < days:
+            print(
+                f"\r[bench corpus] shard {shard_id + 1}/{shards}, "
+                f"day {day + 1}/{days} ({time.time() - started:.0f}s elapsed)",
+                end="", flush=True,
+            )
+
+    dataset = run_study(ecosystem, bench_study_config(), shard_progress=progress)
     print()
     ground_truth = _ground_truth(ecosystem)
     cache_dir.mkdir(parents=True, exist_ok=True)

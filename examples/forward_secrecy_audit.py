@@ -16,6 +16,7 @@ set REPRO_EXAMPLE_QUICK=1 for a smaller ~30 s variant, as CI does)
 import os
 import shutil
 import tempfile
+from dataclasses import replace
 
 from repro import EcosystemConfig, StudyConfig, build_ecosystem, core
 from repro.analysis import analyze, audit_inputs_from_analysis
@@ -46,7 +47,7 @@ def main() -> None:
     try:
         print(f"scanning {len(ecosystem.active_domains())} domains daily "
               f"for {STUDY_DAYS} days (streaming to {workdir})…")
-        run_study(ecosystem, config, stream_dir=workdir)
+        run_study(ecosystem, replace(config, stream_dir=workdir))
 
         # Fold the on-disk channels into mergeable partials; nothing is
         # loaded whole.  A second run would hit the .analysis/ cache.

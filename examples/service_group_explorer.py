@@ -15,6 +15,7 @@ set REPRO_EXAMPLE_QUICK=1 for a smaller ~30 s variant, as CI does)
 import os
 import shutil
 import tempfile
+from dataclasses import replace
 
 from repro import EcosystemConfig, StudyConfig, build_ecosystem, core
 from repro.analysis import analyze
@@ -39,7 +40,7 @@ def main() -> None:
         print(f"streaming a {STUDY_DAYS}-day study over "
               f"{len(ecosystem.active_domains())} domains "
               f"(10-connection STEK scans, cross-domain probes)…")
-        run_study(ecosystem, config, stream_dir=workdir)
+        run_study(ecosystem, replace(config, stream_dir=workdir))
         result = analyze(workdir)
 
         stek_groups = result.outputs["stek_groups"]

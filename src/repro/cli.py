@@ -111,11 +111,11 @@ class _ProgressReporter:
         else:
             print(f"\r{text}", end="", flush=True, file=sys.stderr)
 
-    def day(self, day: int, days: int) -> None:
-        self._emit(f"scanning day {day + 1}/{days}")
-
     def shard(self, shard_id: int, shards: int, day: int, days: int) -> None:
-        if day >= days:
+        if shards == 1:
+            if day < days:
+                self._emit(f"scanning day {day + 1}/{days}")
+        elif day >= days:
             self._emit(f"shard {shard_id + 1}/{shards} done        ")
         else:
             self._emit(f"shard {shard_id + 1}/{shards}: day {day + 1}/{days}")
@@ -301,7 +301,6 @@ def cmd_study(args) -> int:
     try:
         dataset, stats = run_study_with_stats(
             ecosystem, config,
-            progress=reporter.day,
             shard_progress=reporter.shard,
             telemetry_dir=args.telemetry_dir,
             resume=bool(args.resume),
@@ -687,10 +686,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "affects output (default 1024; see "
                             "docs/SCALING.md)")
     study.add_argument("--oracle", action="store_true",
-                       help="run every grab as a blocking record-layer "
-                            "exchange (real records and crypto around the "
-                            "same handshake decisions) instead of the "
-                            "event-driven fast path; output is "
+                       help="run every grab as a record-layer exchange "
+                            "(real records and crypto around the same "
+                            "handshake decisions) instead of the fast "
+                            "path, on the same event-loop sweep; output is "
                             "byte-identical, several times slower — the "
                             "reference for equivalence checks")
     study.add_argument("--stream-dir", default=None,

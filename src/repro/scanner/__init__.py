@@ -38,7 +38,7 @@ from .records import (
     write_jsonl,
 )
 from .resumption import ProbeConfig, resumption_probe
-from .schedule import DailyScanCampaign, SweepConfig, sweep, thirty_minute_scan
+from .schedule import SweepConfig, sweep, thirty_minute_scan
 from .study import (
     StudyConfig,
     StudyDataset,
@@ -64,7 +64,6 @@ __all__ = [
     "resumption_probe",
     "SweepConfig",
     "sweep",
-    "DailyScanCampaign",
     "thirty_minute_scan",
     "CrossDomainConfig",
     "ProbeTarget",

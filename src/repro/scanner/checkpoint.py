@@ -30,14 +30,12 @@ import shutil
 from dataclasses import asdict, is_dataclass
 from typing import Optional
 
-from ..faults.retry import RetryPolicy
-
 SCHEMA = "repro-checkpoint/1"
 RUN_NAME = "run.json"
 
 #: StudyConfig fields excluded from the fingerprint: pure execution
-#: knobs that never affect output bytes.  ``concurrency`` (event-loop
-#: batch size) and ``oracle`` (blocking reference path) are
+#: settings that never affect output bytes.  ``concurrency`` (event-loop
+#: batch size) and ``oracle`` (record-layer exchange for every grab) are
 #: byte-equivalent by construction, so a resumed run may change them.
 _EXECUTION_FIELDS = ("workers", "stream_dir", "concurrency", "oracle")
 
@@ -60,20 +58,15 @@ def study_config_to_dict(config) -> dict:
     return data
 
 
-def study_config_from_dict(data: dict, *, workers: int = 1,
-                           stream_dir: Optional[str] = None,
-                           concurrency: int = 1024, oracle: bool = False):
-    """Rebuild a StudyConfig from :func:`study_config_to_dict` output."""
+def study_config_from_dict(data: dict, **execution):
+    """Rebuild a StudyConfig from :func:`study_config_to_dict` output.
+
+    ``execution`` sets the fields the fingerprint leaves out
+    (:data:`_EXECUTION_FIELDS`); the rest keep StudyConfig's defaults.
+    """
     from .study import StudyConfig  # local import: study imports engine
 
-    kwargs = dict(data)
-    retry = kwargs.pop("retry", None)
-    if retry is not None and not isinstance(retry, RetryPolicy):
-        retry = RetryPolicy(**retry)
-    return StudyConfig(
-        **kwargs, retry=retry, workers=workers, stream_dir=stream_dir,
-        concurrency=concurrency, oracle=oracle,
-    )
+    return StudyConfig(**data, **execution)
 
 
 def fingerprint_digest(payload) -> str:
@@ -88,15 +81,13 @@ def fingerprint_digest(payload) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def checkpoint_fingerprint(study_config, ecosystem_config, shards: int) -> dict:
-    data = study_config_to_dict(study_config)
-    data["shards"] = shards  # the resolved count, even if config said otherwise
+def checkpoint_fingerprint(study_config, ecosystem_config) -> dict:
     return _normalize({
-        "study": data,
+        "study": study_config_to_dict(study_config),
         "ecosystem": (
             asdict(ecosystem_config) if is_dataclass(ecosystem_config) else {}
         ),
-        "shards": shards,
+        "shards": study_config.shards,
     })
 
 

@@ -14,8 +14,10 @@ so the merged output is **bit-for-bit identical** regardless of
 ``workers`` — one process running shards serially and a process pool
 running them concurrently produce the same bytes.  ``workers`` is pure
 execution parallelism; ``shards`` is the only knob that affects
-output.  With ``shards=1`` the engine runs the registry against the
-caller's ecosystem on the legacy single-stream path.
+output.  Every execution setting (``shards``, ``workers``,
+``stream_dir``, ``concurrency``, ``oracle``) is read from the study
+config.  With ``shards=1`` the one shard scans the caller's ecosystem;
+otherwise each shard gets a freshly built view.
 
 Why per-shard ecosystem views reproduce a coherent study: the
 ecosystem's own evolution (list churn, STEK rotation schedules, DNS)
@@ -29,6 +31,7 @@ every study day.
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 import time
@@ -205,7 +208,6 @@ def run_shard(
     ecosystem: Ecosystem,
     config,
     shard_id: int = 0,
-    shard_count: int = 1,
     stream_dir: Optional[str] = None,
     registry: Optional[ExperimentRegistry] = None,
     progress: Optional[Callable[[int, int], None]] = None,
@@ -213,20 +215,22 @@ def run_shard(
     events: bool = False,
     profile_dir: Optional[str] = None,
 ) -> ShardResult:
-    """Run every registered experiment over one shard's timeline.
+    """Run every registered experiment over shard ``shard_id`` of
+    ``config.shards``.
 
-    This is the whole study when ``shard_count == 1``.  The caller owns
-    ecosystem/shard pairing: ``ecosystem`` must be a fresh view for
-    this shard (the engine rebuilds views per shard; see
-    :func:`_shard_worker`).
+    This is the whole study when ``config.shards == 1``.  The caller
+    owns ecosystem/shard pairing: ``ecosystem`` must be a fresh view for
+    this shard (the engine builds one per shard when ``shards > 1``).
 
-    Live-plane hooks, all diagnostics-only (never output-affecting):
+    Hooks, all diagnostics-only (never output-affecting):
+    ``progress(day, days)`` fires before each study day;
     ``live_push(day, days, day_grabs, metrics_delta)`` fires after each
     study day; ``events`` buffers structured events into the returned
     result; ``profile_dir`` runs the shard under cProfile and fills
     ``ShardResult.profile``.
     """
     registry = registry if registry is not None else default_registry(config)
+    shard_count = config.shards
     # Start every shard from cold value-keyed caches so cache hit/miss
     # counters are a function of the shard alone, not of which shards
     # this process happened to run earlier (workers=1 reuses one
@@ -245,22 +249,19 @@ def run_shard(
     push_base = metrics_base
     shard_started = time.perf_counter()
     day_seconds: list = []
-    chaos = getattr(config, "chaos", None)
-    if chaos:
+    if config.chaos:
         # Compiled per shard (plans are cheap); decisions are pure
         # hashes of (seed, window, target, time), so every shard sees
         # the same schedule regardless of worker or process layout.
-        install_chaos(ecosystem, ImpairmentPlan.from_profile(chaos))
+        install_chaos(ecosystem, ImpairmentPlan.from_profile(config.chaos))
     rng = DeterministicRandom(config.seed)
     if shard_count > 1:
         rng = rng.fork(f"shard:{shard_id}/{shard_count}")
-    # ``oracle`` selects the blocking reference exchange and the
-    # one-at-a-time sweep loop; the default is the event-driven fast
-    # path (byte-identical output; see docs/SCALING.md).
-    oracle = bool(getattr(config, "oracle", False))
+    # ``oracle`` runs every grab over the record-layer exchange instead
+    # of the fast path (byte-identical output; see docs/SCALING.md).
     grabber = ZGrabber(
-        ecosystem, rng.fork("grabber"), retry=getattr(config, "retry", None),
-        fast=not oracle,
+        ecosystem, rng.fork("grabber"), retry=config.retry,
+        fast=not config.oracle,
     )
     sink = _StreamingSink(stream_dir) if stream_dir else _MemorySink()
     stats = StudyStats(days=config.days, shards=shard_count, workers=1)
@@ -273,7 +274,7 @@ def run_shard(
         emit=sink.emit,
         shard_id=shard_id,
         shard_count=shard_count,
-        concurrency=None if oracle else getattr(config, "concurrency", 1024),
+        concurrency=config.concurrency,
     )
     ctx.meta["day0_list"] = ecosystem.alexa_list(0)
     ranks = ctx.meta.setdefault("ranks", {})
@@ -407,7 +408,7 @@ def _shard_worker(args) -> ShardResult:
     from ..hosting import build_ecosystem
 
     (
-        ecosystem_config, study_config, shard_id, shard_count, stream_dir,
+        ecosystem_config, study_config, shard_id, stream_dir,
         spool_dir, events, profile_dir,
     ) = args
     live_push = None
@@ -420,7 +421,6 @@ def _shard_worker(args) -> ShardResult:
         ecosystem,
         study_config,
         shard_id=shard_id,
-        shard_count=shard_count,
         stream_dir=stream_dir,
         live_push=live_push,
         events=events,
@@ -444,11 +444,7 @@ class StudyEngine:
     def run(
         self,
         ecosystem: Ecosystem,
-        progress: Optional[Callable[[int, int], None]] = None,
         shard_progress: Optional[ShardProgress] = None,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
-        stream_dir: Optional[str] = None,
         telemetry_dir: Optional[str] = None,
         resume: bool = False,
         fail_fast: bool = False,
@@ -457,10 +453,14 @@ class StudyEngine:
     ):
         """Run the study; returns ``(StudyDataset, StudyStats)``.
 
-        ``shards`` partitions the population (output-affecting);
-        ``workers`` only parallelizes shard execution.  ``stream_dir``
-        switches the storage layer to streaming JSONL: records spill to
-        disk as produced and the returned dataset holds lazy views.
+        The config's ``shards`` partitions the population
+        (output-affecting); ``workers`` only parallelizes shard
+        execution.  ``stream_dir`` switches the storage layer to
+        streaming JSONL: records spill to disk as produced and the
+        returned dataset holds lazy views.
+        ``shard_progress(shard_id, shards, day, days)`` fires before each
+        study day of a shard run in this process, and with
+        ``day == days`` when any shard completes.
         ``telemetry_dir`` writes a run manifest (with the run's peak
         RSS), merged metrics snapshot and Prometheus exposition there
         after the merge.  Telemetry never touches the dataset: pass a
@@ -488,19 +488,9 @@ class StudyEngine:
         are diagnostics-only: dataset bytes are identical with them on
         or off.
         """
-        from .study import StudyDataset  # local import to avoid a cycle
-
         run_start = time.perf_counter()
         config = self.config
-        shards = shards if shards is not None else getattr(config, "shards", 1)
-        workers = workers if workers is not None else getattr(config, "workers", 1)
-        stream_dir = stream_dir if stream_dir is not None else getattr(
-            config, "stream_dir", None
-        )
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        stream_dir = config.stream_dir
         if telemetry_dir is not None and stream_dir is not None and (
             os.path.abspath(telemetry_dir) == os.path.abspath(stream_dir)
         ):
@@ -511,7 +501,7 @@ class StudyEngine:
 
         store = CheckpointStore(stream_dir) if stream_dir is not None else None
         fingerprint = checkpoint_fingerprint(
-            config, getattr(ecosystem, "config", None), shards
+            config, getattr(ecosystem, "config", None)
         )
         completed: dict[int, ShardResult] = {}
         if resume:
@@ -529,53 +519,24 @@ class StudyEngine:
         elif store is not None:
             store.reset(fingerprint)
         todo = [
-            shard_id for shard_id in range(shards) if shard_id not in completed
+            shard_id for shard_id in range(config.shards)
+            if shard_id not in completed
         ]
 
         if live is not None:
             live.study_started(
-                shards=shards, days=config.days, workers=workers,
+                shards=config.shards, days=config.days, workers=config.workers,
                 resumed=bool(completed),
             )
             for shard_id in sorted(completed):
                 live.record_shard(completed[shard_id], restored=True)
         events = live is not None and live.events_enabled
 
-        if not todo:
-            results = list(completed.values())
-        elif shards == 1:
-            live_push = None
-            if live is not None:
-                live_push = (
-                    lambda day, days, grabs, delta:
-                    live.day_completed(0, day, days, grabs, delta)
-                )
-            result = run_shard(
-                ecosystem,
-                config,
-                shard_id=0,
-                shard_count=1,
-                stream_dir=os.path.join(stream_dir, "shards", "00")
-                if stream_dir else None,
-                registry=self.registry,
-                progress=progress,
-                live_push=live_push,
-                events=events,
-                profile_dir=profile_dir,
-            )
-            if store is not None:
-                store.save_shard(result)
-            if live is not None:
-                live.record_shard(result, checkpointed=store is not None)
-            results = [result]
-        else:
-            results = list(completed.values()) + self._run_sharded(
-                ecosystem, shards, workers, stream_dir, shard_progress,
-                todo=todo, store=store, fail_fast=fail_fast,
-                live=live, events=events, profile_dir=profile_dir,
-            )
-
-        dataset, stats = self._merge(results, stream_dir, workers)
+        results = list(completed.values()) + self._run_shards(
+            ecosystem, todo, store, shard_progress, fail_fast=fail_fast,
+            live=live, events=events, profile_dir=profile_dir,
+        )
+        dataset, stats = self._merge(results)
         if store is not None:
             store.clear()
         stats.elapsed_seconds = time.perf_counter() - run_start
@@ -590,36 +551,35 @@ class StudyEngine:
             self._write_telemetry(telemetry_dir, ecosystem, results, stats)
         return dataset, stats
 
-    # -- sharded execution -------------------------------------------------
+    # -- shard execution ---------------------------------------------------
 
-    def _run_sharded(
+    def _run_shards(
         self,
         ecosystem: Ecosystem,
-        shards: int,
-        workers: int,
-        stream_dir: Optional[str],
+        todo: list[int],
+        store: Optional[CheckpointStore],
         shard_progress: Optional[ShardProgress],
-        todo: Optional[list[int]] = None,
-        store: Optional[CheckpointStore] = None,
         fail_fast: bool = False,
         live=None,
         events: bool = False,
         profile_dir: Optional[str] = None,
     ) -> list[ShardResult]:
-        """Execute the shards in ``todo`` (default: all), checkpointing
-        each completed shard as it lands.  Raises :class:`StudyAborted`
-        if any shard fails; without ``fail_fast`` sibling shards still
-        finish (and checkpoint) first, so a later ``--resume`` only
-        repeats the broken shard."""
+        """Execute the shards in ``todo``, checkpointing each completed
+        shard as it lands.  The shards run one after another in this
+        process unless two or more can run at once (``workers`` and
+        ``todo`` both above one), which takes a process pool.  Raises
+        :class:`StudyAborted` if any shard fails; without ``fail_fast``
+        sibling shards still finish (and checkpoint) first, so a later
+        ``--resume`` only repeats the broken shard."""
         config = self.config
-        todo = list(range(shards)) if todo is None else list(todo)
+        shards = config.shards
         pending = METRICS.gauge("engine.pending_shards")
         pending.set(len(todo))
 
         def subdir(shard_id: int) -> Optional[str]:
-            if stream_dir is None:
+            if config.stream_dir is None:
                 return None
-            return os.path.join(stream_dir, "shards", f"{shard_id:02d}")
+            return os.path.join(config.stream_dir, "shards", f"{shard_id:02d}")
 
         results: list[ShardResult] = []
         failures: list[tuple[int, BaseException]] = []
@@ -634,32 +594,32 @@ class StudyEngine:
             if shard_progress is not None:
                 shard_progress(result.shard_id, shards, config.days, config.days)
 
-        if workers == 1:
+        if min(config.workers, len(todo)) <= 1:
             from ..hosting import build_ecosystem
 
             for shard_id in todo:
-                view = build_ecosystem(ecosystem.config)
-
-                def day_progress(day, days, _sid=shard_id):
-                    if shard_progress is not None:
-                        shard_progress(_sid, shards, day, days)
-
-                live_push = None
-                if live is not None:
-                    live_push = (
-                        lambda day, days, grabs, delta, _sid=shard_id:
-                        live.day_completed(_sid, day, days, grabs, delta)
-                    )
+                # A single shard scans the caller's ecosystem (so callers
+                # can read its ground truth afterwards); several shards
+                # each scan a fresh view.
+                view = (
+                    ecosystem if shards == 1
+                    else build_ecosystem(ecosystem.config)
+                )
                 try:
                     result = run_shard(
                         view,
                         config,
                         shard_id=shard_id,
-                        shard_count=shards,
                         stream_dir=subdir(shard_id),
                         registry=self.registry,
-                        progress=day_progress,
-                        live_push=live_push,
+                        progress=(
+                            functools.partial(shard_progress, shard_id, shards)
+                            if shard_progress is not None else None
+                        ),
+                        live_push=(
+                            functools.partial(live.day_completed, shard_id)
+                            if live is not None else None
+                        ),
                         events=events,
                         profile_dir=profile_dir,
                     )
@@ -669,7 +629,7 @@ class StudyEngine:
                         break
                     continue
                 record(result)
-            return self._finish_sharded(results, failures, store)
+            return self._finish_shards(results, failures, store)
 
         if self.registry is not None:
             raise ValueError(
@@ -688,10 +648,12 @@ class StudyEngine:
             poller = SpoolPoller(spool_dir, live)
             poller.start()
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+            with ProcessPoolExecutor(
+                max_workers=min(config.workers, len(todo))
+            ) as pool:
                 futures = {
                     pool.submit(_shard_worker, (
-                        ecosystem.config, config, shard_id, shards,
+                        ecosystem.config, config, shard_id,
                         subdir(shard_id), spool_dir, events, profile_dir,
                     )): shard_id
                     for shard_id in todo
@@ -716,10 +678,10 @@ class StudyEngine:
                 poller.stop()  # final drain included
             if spool_dir is not None:
                 shutil.rmtree(spool_dir, ignore_errors=True)
-        return self._finish_sharded(results, failures, store)
+        return self._finish_shards(results, failures, store)
 
     @staticmethod
-    def _finish_sharded(
+    def _finish_shards(
         results: list[ShardResult],
         failures: list[tuple[int, BaseException]],
         store: Optional[CheckpointStore],
@@ -746,15 +708,11 @@ class StudyEngine:
 
     # -- merge -------------------------------------------------------------
 
-    def _merge(
-        self,
-        results: list[ShardResult],
-        stream_dir: Optional[str],
-        workers: int,
-    ):
+    def _merge(self, results: list[ShardResult]):
         from .study import StudyDataset
 
         config = self.config
+        stream_dir = config.stream_dir
         results = sorted(results, key=lambda r: r.shard_id)
         meta = results[0].meta  # view-independent fields agree across shards
         merged_meta = {
@@ -770,7 +728,7 @@ class StudyEngine:
         }
 
         stats = StudyStats(
-            days=config.days, shards=results[0].shard_count, workers=workers
+            days=config.days, shards=config.shards, workers=config.workers
         )
         for result in results:
             stats.merge(result.stats)

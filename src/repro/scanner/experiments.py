@@ -88,16 +88,15 @@ class StudyContext:
     rng: DeterministicRandom
     config: "StudyConfig"  # noqa: F821 — import cycle; see study.py
     emit: Callable[[str, Iterable], int]
+    #: Event-loop admission batch size for sweeps.  Execution-only:
+    #: never changes dataset bytes, only buffering granularity.
+    concurrency: int
     shard_id: int = 0
     shard_count: int = 1
     today: list[tuple[int, str]] = field(default_factory=list)
     today_owned: list[tuple[int, str]] = field(default_factory=list)
     full_list_size: int = 0
     meta: dict = field(default_factory=dict)
-    #: Event-loop admission batch size for sweeps; ``None`` selects the
-    #: blocking reference path (``study --oracle``).  Execution-only:
-    #: never changes dataset bytes, only buffering granularity.
-    concurrency: Optional[int] = None
 
     def owns(self, name: str) -> bool:
         return shard_of(name, self.shard_count) == self.shard_id

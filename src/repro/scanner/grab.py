@@ -99,9 +99,9 @@ class ZGrabber:
         self.ecosystem = ecosystem
         self._rng = rng
         #: Use the fast handshake (repro.tls.fastpath) for every grab
-        #: but captures; False forces the record-layer exchange.
-        #: Output bytes are identical either way — the oracle is kept
-        #: selectable for equivalence tests and `study --oracle`.
+        #: but captures; False (`study --oracle`) runs every grab over
+        #: the record-layer exchange, inside the same sweep.  Output
+        #: bytes are identical either way.
         self.fast = fast
         self.client = TLSClient(
             rng.fork("tls-client"),

@@ -4,13 +4,14 @@ The paper's longitudinal measurements are daily single-connection
 sweeps over the Top Million (one per cipher offer); its support and
 sharing measurements are 10-connection scans within a few-hour window
 plus a single-connection scan in a 30-minute window.  Both patterns
-live here, spreading connections across a virtual time window so
-server-side rotations and cache expiries interleave realistically.
+are one :func:`sweep`, spreading connections across a virtual time
+window so server-side rotations and cache expiries interleave
+realistically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..netsim.clock import HOUR, MINUTE
@@ -36,7 +37,7 @@ def sweep(
     domains: Sequence[tuple[int, str]],
     config: SweepConfig,
     *,
-    concurrency: Optional[int] = None,
+    concurrency: int,
     sink: Optional[Callable[[list[ScanObservation]], object]] = None,
 ) -> list[ScanObservation]:
     """Scan ``domains`` (rank, name) within the configured time window.
@@ -46,13 +47,12 @@ def sweep(
     spaced across the whole window (the paper's 10 connections over six
     hours), not fired back-to-back.
 
-    With ``concurrency`` set, grabs are admitted onto a
-    :class:`~repro.netsim.eventloop.EventLoop` in batches of that many
-    in-flight tasks; ``concurrency=None`` is the blocking reference
-    loop.  Both orders are identical — every grab is scheduled at its
-    window tick, and the loop resumes tasks in ``(due, admission)``
-    order — so batch size never changes output bytes, only how many
-    observations are buffered before each flush (memory).
+    Grabs are admitted onto a :class:`~repro.netsim.eventloop.EventLoop`
+    in batches of ``concurrency`` in-flight tasks.  Every grab is
+    scheduled at its window tick and the loop resumes tasks in
+    ``(due, admission)`` order, at ``max(due, now)``, so the batch size
+    never changes output bytes, only how many observations are buffered
+    before each flush (memory).
 
     ``sink`` receives observation batches as they complete (the
     streaming engine's per-shard emit); without it, all observations
@@ -74,30 +74,13 @@ def sweep(
             (pair for _ in range(config.connections_per_domain) for pair in domains)
         )
     )
-    if concurrency is None:
-        # Blocking reference loop (the oracle path): one grab at a time,
-        # clock advanced to each grab's window tick.
-        batch: list[ScanObservation] = []
-        for tick, rank, name in schedule:
-            ecosystem.advance_to(max(start + tick * step, ecosystem.clock.now()))
-            batch.append(
-                grabber.grab(
-                    name,
-                    rank=rank,
-                    offer=config.offer,
-                    offer_tickets=config.offer_tickets,
-                )
-            )
-        flush(batch)
-        return observations
-
     window = max(1, int(concurrency))
     loop = EventLoop(ecosystem.clock.now, ecosystem.advance_to)
-    batch = []
+    batch: list[ScanObservation] = []
 
     def one_grab(due: float, rank: int, name: str):
         """Continuation for one scheduled grab: park until its window
-        tick, then run the (fast-path) grab to completion."""
+        tick, then run the grab to completion."""
         yield Wait.until(due)
         batch.append(
             grabber.grab(
@@ -125,50 +108,12 @@ def sweep(
     return observations
 
 
-@dataclass
-class DailyScanCampaign:
-    """A multi-day, once-a-day sweep (the §4.3/§4.4 longitudinal scans).
-
-    Each day the campaign pulls the *current* Alexa list (churn and
-    all), scans it, and stores the observations.  Analyses later
-    restrict to always-present domains, exactly like the paper.
-    """
-
-    grabber: ZGrabber
-    offer: tuple[CipherSuite, ...] = MODERN_BROWSER_OFFER
-    window_seconds: float = 3 * HOUR
-    offer_tickets: bool = True
-    label: str = "daily"
-    #: With ``accumulate=False`` the campaign only returns each day's
-    #: observations (streaming callers persist them elsewhere) instead
-    #: of holding the whole study in ``observations``.
-    accumulate: bool = True
-    observations: list[ScanObservation] = field(default_factory=list)
-
-    def run_day(self, domains: Optional[Sequence[tuple[int, str]]] = None) -> list[ScanObservation]:
-        """Scan once for the current day; returns the day's observations."""
-        ecosystem = self.grabber.ecosystem
-        if domains is None:
-            domains = ecosystem.alexa_list()
-        config = SweepConfig(
-            offer=self.offer,
-            connections_per_domain=1,
-            window_seconds=self.window_seconds,
-            offer_tickets=self.offer_tickets,
-            label=self.label,
-        )
-        day_observations = sweep(self.grabber, domains, config)
-        if self.accumulate:
-            self.observations.extend(day_observations)
-        return day_observations
-
-
 def thirty_minute_scan(
     grabber: ZGrabber,
     domains: Sequence[tuple[int, str]],
     offer: tuple[CipherSuite, ...] = MODERN_BROWSER_OFFER,
     *,
-    concurrency: Optional[int] = None,
+    concurrency: int,
     sink: Optional[Callable[[list[ScanObservation]], object]] = None,
 ) -> list[ScanObservation]:
     """The paper's single-connection scan in a 30-minute window (§5.2)."""
@@ -186,4 +131,4 @@ def thirty_minute_scan(
     )
 
 
-__all__ = ["SweepConfig", "sweep", "DailyScanCampaign", "thirty_minute_scan"]
+__all__ = ["SweepConfig", "sweep", "thirty_minute_scan"]

@@ -68,18 +68,19 @@ class StudyConfig:
     run_probes: bool = True
     run_crossdomain: bool = True
     run_support_scans: bool = True
-    # Execution knobs (see repro.scanner.engine).  ``shards`` is the
-    # deterministic population partition and affects output byte-for-byte;
-    # ``workers`` only parallelizes shard execution and never does.
+    # Execution settings (see repro.scanner.engine), the only place a
+    # study's execution is configured.  ``shards`` is the deterministic
+    # population partition and affects output byte-for-byte; ``workers``
+    # only parallelizes shard execution and never does.
     shards: int = 1
     workers: int = 1
     stream_dir: Optional[str] = None
     # Event-driven scan core (see docs/SCALING.md).  ``concurrency`` is
     # the event-loop admission batch size per shard — execution-only,
     # like ``workers``: it bounds buffered observations per flush and
-    # never changes output bytes.  ``oracle`` selects the blocking
-    # reference path (full record serialization + real crypto per
-    # connection) that the fast event-driven path is pinned against.
+    # never changes output bytes.  ``oracle`` runs every grab over the
+    # record-layer exchange (real records and crypto) instead of the
+    # fast path, on the same event-loop sweep; output is identical.
     concurrency: int = 1024
     oracle: bool = False
     # Resilience knobs (see repro.faults).  ``chaos`` is a repro-chaos/1
@@ -192,11 +193,7 @@ _OBSERVATION_FIELDS = tuple(
 def run_study(
     ecosystem: Ecosystem,
     config: Optional[StudyConfig] = None,
-    progress=None,
     *,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
-    stream_dir: Optional[str] = None,
     telemetry_dir: Optional[str] = None,
     shard_progress: Optional[Callable[[int, int, int, int], None]] = None,
     resume: bool = False,
@@ -206,23 +203,19 @@ def run_study(
 ) -> StudyDataset:
     """Run the full measurement study against ``ecosystem``.
 
-    Keyword overrides take precedence over the matching
-    :class:`StudyConfig` fields.  With ``shards > 1`` the population
-    is partitioned deterministically and the passed ecosystem is used
-    only as the template for per-shard views (it is left untouched);
-    output is byte-identical for any ``workers`` value.  ``resume``
-    continues a killed streamed run from its ``stream_dir`` checkpoint
-    (see :mod:`repro.scanner.checkpoint`); ``fail_fast`` aborts the
-    whole study on the first shard failure instead of letting sibling
-    shards finish and checkpoint.
+    Execution settings (``shards``, ``workers``, ``stream_dir``,
+    ``concurrency``, ``oracle``) come from ``config``.  With
+    ``shards > 1`` the population is partitioned deterministically and
+    the passed ecosystem is used only as the template for per-shard
+    views (it is left untouched); output is byte-identical for any
+    ``workers`` value.  ``resume`` continues a killed streamed run from
+    its ``stream_dir`` checkpoint (see :mod:`repro.scanner.checkpoint`);
+    ``fail_fast`` aborts the whole study on the first shard failure
+    instead of letting sibling shards finish and checkpoint.
     """
     dataset, _ = run_study_with_stats(
         ecosystem,
         config,
-        progress,
-        workers=workers,
-        shards=shards,
-        stream_dir=stream_dir,
         telemetry_dir=telemetry_dir,
         shard_progress=shard_progress,
         resume=resume,
@@ -236,11 +229,7 @@ def run_study(
 def run_study_with_stats(
     ecosystem: Ecosystem,
     config: Optional[StudyConfig] = None,
-    progress=None,
     *,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
-    stream_dir: Optional[str] = None,
     telemetry_dir: Optional[str] = None,
     shard_progress: Optional[Callable[[int, int, int, int], None]] = None,
     resume: bool = False,
@@ -261,11 +250,7 @@ def run_study_with_stats(
     engine = StudyEngine(config)
     return engine.run(
         ecosystem,
-        progress=progress,
         shard_progress=shard_progress,
-        workers=workers,
-        shards=shards,
-        stream_dir=stream_dir,
         telemetry_dir=telemetry_dir,
         resume=resume,
         fail_fast=fail_fast,

@@ -27,13 +27,12 @@ scanner must keep scanning when a server misbehaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, Protocol, Union
+from typing import Callable, Optional, Protocol, Union
 
 from ..crypto import dh, ec
 from ..crypto.mac import sha256, constant_time_equal
 from ..crypto.prf import derive_master_secret, verify_data
 from ..crypto.rng import DeterministicRandom
-from ..netsim.eventloop import Wait
 from ..obs.metrics import METRICS
 from ..x509 import TrustStore, X509Certificate
 from .ciphers import CipherSuite, KeyExchangeKind, MODERN_BROWSER_OFFER
@@ -183,15 +182,10 @@ class TLSClient:
         """
         result = self.start(server_name, session_id, ticket, saved_session)
         try:
-            # Drive the continuation to completion inline: the simulated
-            # network has zero latency, so every Wait is already due.
-            # An event loop interleaving many clients drives the same
-            # generator through its heap instead (see netsim.eventloop).
-            for _wait in self.handshake_steps(
+            self._exchange(
                 server, server_name, offer, session_id, ticket,
                 saved_session, offer_tickets, capture, result,
-            ):
-                pass
+            )
         except HANDSHAKE_ERRORS as exc:
             result.fail(exc)
         return result
@@ -310,9 +304,9 @@ class TLSClient:
             keypair = cache[key] = generate(params, self._rng)
         return keypair
 
-    # -- record-layer exchange (the continuation) ----------------------------
+    # -- record-layer exchange ------------------------------------------------
 
-    def handshake_steps(
+    def _exchange(
         self,
         server: ServerExchange,
         server_name: str,
@@ -323,25 +317,15 @@ class TLSClient:
         offer_tickets: bool,
         capture: bool,
         result: HandshakeResult,
-    ) -> Generator[Wait, None, None]:
-        """The handshake over real records, as a resumable continuation.
+    ) -> None:
+        """The handshake over real records, filling in ``result``.
 
-        ``result`` comes from :meth:`start`.  The generator yields a
-        :class:`~repro.netsim.eventloop.Wait` wherever bytes are on
-        the wire — once after each flight this client sends — and
-        mutates ``result`` as the exchange progresses.  Between
-        yields the step runs to completion synchronously; every draw
-        is made by the decision steps (:meth:`start`,
-        :meth:`key_exchange`, and the server's ``negotiate`` and
-        ``establish``), which the fast path calls in the same order,
-        so driving the generator inline (:meth:`connect`) or
-        interleaved with thousands of others on an
-        :class:`~repro.netsim.eventloop.EventLoop` produces
-        byte-identical results.  Protocol errors raise through the
-        generator; :meth:`connect` converts them to ``result.error``.
-        A TLS 1.3 or STARTTLS shim plugs in by implementing the same
-        shape: yield per flight, never consult wall-clock time, and
-        draw randomness only from the deterministic streams.
+        ``result`` comes from :meth:`start`.  Every draw is made by the
+        decision steps (:meth:`start`, :meth:`key_exchange`, and the
+        server's ``negotiate`` and ``establish``), which the fast path
+        calls in the same order, so both drivers produce byte-identical
+        results.  Protocol errors raise; :meth:`connect` converts them
+        to ``result.error``.
         """
         extensions = []
         if server_name:
@@ -365,7 +349,6 @@ class TLSClient:
         if capture:
             result.captured.append(CapturedFlight(from_client=True, data=ch_bytes))
 
-        yield Wait(0.0)  # ClientHello in flight
         flight, server_conn = server.accept(ch_bytes)
         if capture:
             result.captured.append(CapturedFlight(from_client=False, data=flight))
@@ -395,12 +378,12 @@ class TLSClient:
             messages.append(message)
 
         if messages and isinstance(messages[-1], Finished):
-            yield from self._finish_abbreviated(
+            self._finish_abbreviated(
                 server, server_conn, messages, saved_session,
                 ticket, transcript, capture, result,
             )
         else:
-            yield from self._finish_full(
+            self._finish_full(
                 server, server_conn, messages, server_name,
                 transcript, capture, result,
             )
@@ -415,7 +398,7 @@ class TLSClient:
         transcript: bytes,
         capture: bool,
         result: HandshakeResult,
-    ) -> Generator[Wait, None, None]:
+    ) -> None:
         if saved_session is None:
             raise HandshakeFailure("server resumed a session we did not offer")
         session = saved_session
@@ -445,7 +428,6 @@ class TLSClient:
         )
         if capture:
             result.captured.append(CapturedFlight(from_client=True, data=finished_bytes))
-        yield Wait(0.0)  # client Finished in flight
         server.finish_abbreviated(server_conn, finished_bytes)
 
         self.resumed(result, session, offered_ticket)
@@ -460,7 +442,7 @@ class TLSClient:
         transcript: bytes,
         capture: bool,
         result: HandshakeResult,
-    ) -> Generator[Wait, None, None]:
+    ) -> None:
         certificate_msg = None
         kex_message = None
         saw_done = False
@@ -502,7 +484,6 @@ class TLSClient:
         if capture:
             result.captured.append(CapturedFlight(from_client=True, data=flight))
 
-        yield Wait(0.0)  # ClientKeyExchange + Finished in flight
         reply = server.finish_full(server_conn, flight)
         if capture:
             result.captured.append(CapturedFlight(from_client=False, data=reply))

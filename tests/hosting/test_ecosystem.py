@@ -280,10 +280,10 @@ def test_warm_build_adds_no_metrics_series():
     assert METRICS.snapshot() == before
 
 
-def _tiny_study() -> StudyConfig:
+def _tiny_study(**overrides) -> StudyConfig:
     return StudyConfig(
         days=2, seed=404, run_probes=False, run_crossdomain=False,
-        run_support_scans=False,
+        run_support_scans=False, **overrides,
     )
 
 
@@ -298,7 +298,7 @@ def test_sharded_study_generates_the_pki_once(monkeypatch):
     monkeypatch.setattr(rsa, "generate_keypair", counting)
     _pki_keys.cache_clear()
     config = EcosystemConfig(population=320, seed=13)
-    run_study_with_stats(build_ecosystem(config), _tiny_study(), shards=4, workers=1)
+    run_study_with_stats(build_ecosystem(config), _tiny_study(shards=4))
     assert len(calls) == 3 + config.key_pool_size  # 51, not 5 builds x 51
 
 
@@ -319,7 +319,7 @@ def test_sharded_study_signs_each_certificate_once(monkeypatch):
     monkeypatch.setattr(rsa.RSAPrivateKey, "sign", counting_sign)
     _signature.cache_clear()
     config = EcosystemConfig(population=320, seed=13)
-    run_study_with_stats(build_ecosystem(config), _tiny_study(), shards=4, workers=1)
+    run_study_with_stats(build_ecosystem(config), _tiny_study(shards=4))
     certificates = set(issued)
     assert len(issued) == 5 * len(certificates)  # the same certificates, 5 builds
     # Handshake signatures also go through sign(); count only the TBS.
@@ -337,8 +337,8 @@ def test_cold_and_warm_key_cache_give_identical_studies(tmp_path):
                 _signature.cache_clear()
             stream = tmp_path / f"{state}-{workers}"
             run_study_with_stats(
-                ecosystem, _tiny_study(), shards=2, workers=workers,
-                stream_dir=str(stream),
+                ecosystem,
+                _tiny_study(shards=2, workers=workers, stream_dir=str(stream)),
             )
             digests[state, workers] = {
                 path.name: hashlib.sha256(path.read_bytes()).hexdigest()

@@ -46,7 +46,7 @@ def _tiny_config(**overrides) -> StudyConfig:
     return StudyConfig(**settings)
 
 
-def _run_with_events(tmp_path, name, *, workers=1, shards=2, **overrides):
+def _run_with_events(tmp_path, name, *, shards=2, **overrides):
     ecosystem = build_ecosystem(
         EcosystemConfig(population=SMALL_POPULATION, seed=BENCH_SEED)
     )
@@ -54,8 +54,7 @@ def _run_with_events(tmp_path, name, *, workers=1, shards=2, **overrides):
     plane = LivePlane(events_path=path).start()
     try:
         run_study_with_stats(
-            ecosystem, _tiny_config(**overrides),
-            workers=workers, shards=shards, live=plane,
+            ecosystem, _tiny_config(shards=shards, **overrides), live=plane,
         )
     finally:
         plane.stop()

@@ -86,6 +86,7 @@ class TestMidStudyScrape:
             run_probes=False,
             run_crossdomain=False,
             run_support_scans=False,
+            shards=4,
         )
         ecosystem = build_ecosystem(
             EcosystemConfig(population=SMALL_POPULATION, seed=BENCH_SEED)
@@ -98,9 +99,7 @@ class TestMidStudyScrape:
 
         def run():
             try:
-                run_study_with_stats(
-                    ecosystem, config, shards=4, workers=1, live=plane,
-                )
+                run_study_with_stats(ecosystem, config, live=plane)
             except Exception as exc:  # pragma: no cover - diagnostics
                 errors.append(exc)
 

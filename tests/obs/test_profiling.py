@@ -79,7 +79,7 @@ class TestStudyProfiling:
         )
         profile_dir = str(tmp_path / "profile")
         run_study_with_stats(
-            ecosystem, _tiny_config(), shards=2, profile_dir=profile_dir,
+            ecosystem, _tiny_config(shards=2), profile_dir=profile_dir,
         )
         names = sorted(os.listdir(profile_dir))
         assert names == [
@@ -100,7 +100,7 @@ class TestStudyProfiling:
         )
         profile_dir = str(tmp_path / "profile")
         run_study_with_stats(
-            ecosystem, _tiny_config(), shards=1, profile_dir=profile_dir,
+            ecosystem, _tiny_config(shards=1), profile_dir=profile_dir,
         )
         report_text, top = aggregate_pstats(profile_dir)
         assert "cumulative" in report_text

@@ -40,7 +40,7 @@ def _tiny_config(**overrides) -> StudyConfig:
     return StudyConfig(**settings)
 
 
-def _run_with_telemetry(tmp_path, name: str, *, workers: int = 1, **overrides):
+def _run_with_telemetry(tmp_path, name: str, **overrides):
     ecosystem = build_ecosystem(
         EcosystemConfig(population=SMALL_POPULATION, seed=BENCH_SEED)
     )
@@ -48,7 +48,6 @@ def _run_with_telemetry(tmp_path, name: str, *, workers: int = 1, **overrides):
     _, stats = run_study_with_stats(
         ecosystem,
         _tiny_config(**overrides),
-        workers=workers,
         telemetry_dir=str(telemetry_dir),
     )
     return telemetry_dir, stats
@@ -182,7 +181,6 @@ class TestOutputNeutrality:
         with pytest.raises(ValueError, match="telemetry_dir"):
             run_study_with_stats(
                 ecosystem,
-                _tiny_config(),
-                stream_dir=str(out),
+                _tiny_config(stream_dir=str(out)),
                 telemetry_dir=str(out),
             )

@@ -30,7 +30,7 @@ CHAOS_PROFILE = {
 }
 
 
-def _config() -> StudyConfig:
+def _config(**overrides) -> StudyConfig:
     return StudyConfig(
         days=2,
         seed=404,
@@ -44,6 +44,7 @@ def _config() -> StudyConfig:
         shards=2,
         chaos=CHAOS_PROFILE,
         retry=RetryPolicy(max_attempts=2, breaker_threshold=4),
+        **overrides,
     )
 
 
@@ -67,8 +68,8 @@ class TestChaosDeterminism:
                 EcosystemConfig(population=SMALL_POPULATION, seed=SEED)
             )
             dataset, stats = run_study_with_stats(
-                ecosystem, _config(), workers=workers,
-                stream_dir=str(out), telemetry_dir=str(telemetry),
+                ecosystem, _config(workers=workers, stream_dir=str(out)),
+                telemetry_dir=str(telemetry),
             )
             runs[label] = (out, telemetry, dataset, stats)
         return runs

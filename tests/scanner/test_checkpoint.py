@@ -9,6 +9,7 @@ dataset directory carries no trace of the interruption.
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.scanner import (
 )
 from repro.scanner.checkpoint import (
     checkpoint_fingerprint,
+    fingerprint_digest,
     study_config_from_dict,
     study_config_to_dict,
 )
@@ -86,13 +88,30 @@ class TestConfigRoundTrip:
 
     def test_fingerprint_tracks_output_affecting_fields_only(self):
         ecosystem_config = EcosystemConfig(population=SMALL_POPULATION, seed=SEED)
-        base = checkpoint_fingerprint(_config(), ecosystem_config, 4)
+        base = checkpoint_fingerprint(_config(shards=4), ecosystem_config)
         same = checkpoint_fingerprint(
-            _config(workers=16, stream_dir="/x"), ecosystem_config, 4
+            _config(shards=4, workers=16, stream_dir="/x", concurrency=7,
+                    oracle=True),
+            ecosystem_config,
         )
         assert base == same
-        assert base != checkpoint_fingerprint(_config(seed=405), ecosystem_config, 4)
-        assert base != checkpoint_fingerprint(_config(), ecosystem_config, 2)
+        assert base != checkpoint_fingerprint(
+            _config(shards=4, seed=405), ecosystem_config
+        )
+        assert base != checkpoint_fingerprint(_config(shards=2), ecosystem_config)
+
+    @pytest.mark.parametrize("shards, digest", [
+        (1, "84e72b6a334abe3feaa8584fc2ec7a9fc8ce9769a534f84fa2a6f44321c2a1fc"),
+        (2, "565565ac14f240d1a12fa6f4ad19d4286b2aa3892d069ef54ae8212b5b4a8bd1"),
+    ])
+    def test_fingerprint_digest_is_pinned(self, shards, digest):
+        """Checkpoints written by earlier releases must keep validating:
+        the fingerprint keeps ``study.shards`` and a top-level
+        ``shards``, and its canonical digest never moves."""
+        ecosystem_config = EcosystemConfig(population=SMALL_POPULATION, seed=SEED)
+        fingerprint = checkpoint_fingerprint(_config(shards=shards), ecosystem_config)
+        assert fingerprint["shards"] == fingerprint["study"]["shards"] == shards
+        assert fingerprint_digest(fingerprint) == digest
 
 
 class TestResume:
@@ -102,7 +121,7 @@ class TestResume:
     def uninterrupted(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("uninterrupted")
         run_study(
-            _ecosystem(), _config(shards=self.SHARDS), stream_dir=str(out)
+            _ecosystem(), _config(shards=self.SHARDS, stream_dir=str(out))
         )
         return out
 
@@ -121,9 +140,9 @@ class TestResume:
         # Simulate a run killed after shard 1 of 4 finished: checkpoint
         # exactly what the engine would have checkpointed, then resume.
         store = CheckpointStore(out)
-        store.reset(checkpoint_fingerprint(config, ecosystem.config, self.SHARDS))
+        store.reset(checkpoint_fingerprint(config, ecosystem.config))
         partial = run_shard(
-            _ecosystem(), config, shard_id=1, shard_count=self.SHARDS,
+            _ecosystem(), config, shard_id=1,
             stream_dir=os.path.join(out, "shards", "01"),
         )
         store.save_shard(partial)
@@ -142,7 +161,7 @@ class TestResume:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh)
 
-        run_study(ecosystem, config, stream_dir=out, resume=True)
+        run_study(ecosystem, replace(config, stream_dir=out), resume=True)
         assert _dataset_digest(out) == _dataset_digest(str(uninterrupted))
 
     def test_resume_with_nothing_to_do_just_merges(self, uninterrupted, tmp_path):
@@ -150,14 +169,14 @@ class TestResume:
         config = _config(shards=2)
         ecosystem = _ecosystem()
         store = CheckpointStore(out)
-        store.reset(checkpoint_fingerprint(config, ecosystem.config, 2))
+        store.reset(checkpoint_fingerprint(config, ecosystem.config))
         for shard_id in range(2):
             store.save_shard(run_shard(
-                _ecosystem(), config, shard_id=shard_id, shard_count=2,
+                _ecosystem(), config, shard_id=shard_id,
                 stream_dir=os.path.join(out, "shards", f"{shard_id:02d}"),
             ))
         _, stats = run_study_with_stats(
-            ecosystem, config, stream_dir=out, resume=True
+            ecosystem, replace(config, stream_dir=out), resume=True
         )
         assert stats.grabs > 0
         assert not os.path.exists(os.path.join(out, "checkpoint"))
@@ -165,8 +184,9 @@ class TestResume:
     def test_resume_without_checkpoint_is_an_error(self, tmp_path):
         with pytest.raises(CheckpointMismatch, match="nothing to resume"):
             run_study(
-                _ecosystem(), _config(shards=2),
-                stream_dir=str(tmp_path / "empty"), resume=True,
+                _ecosystem(),
+                _config(shards=2, stream_dir=str(tmp_path / "empty")),
+                resume=True,
             )
 
     def test_resume_requires_stream_dir(self):
@@ -177,30 +197,29 @@ class TestResume:
         out = str(tmp_path / "drift")
         ecosystem = _ecosystem()
         store = CheckpointStore(out)
-        store.reset(
-            checkpoint_fingerprint(_config(shards=2), ecosystem.config, 2)
-        )
+        store.reset(checkpoint_fingerprint(_config(shards=2), ecosystem.config))
         with pytest.raises(CheckpointMismatch, match="different study"):
             run_study(
-                ecosystem, _config(shards=2, seed=405),
-                stream_dir=out, resume=True,
+                ecosystem, _config(shards=2, seed=405, stream_dir=out),
+                resume=True,
             )
 
 
 class _FlakyExperiment(Experiment):
-    """Grabs one domain per day; optionally blows up on shard 1."""
+    """Grabs one domain per day; optionally blows up on one shard."""
 
     name = "flaky"
     channels = ()
 
-    def __init__(self, fail: bool):
+    def __init__(self, fail: bool, failing_shard: int = 1):
         self.fail = fail
+        self.failing_shard = failing_shard
 
     def schedule(self, config):
         return EVERY_DAY
 
     def run_day(self, ctx, day):
-        if self.fail and ctx.shard_id == 1:
+        if self.fail and ctx.shard_id == self.failing_shard:
             raise RuntimeError("injected shard failure")
         if ctx.today_owned:
             rank, name = ctx.today_owned[0]
@@ -208,21 +227,21 @@ class _FlakyExperiment(Experiment):
 
 
 class TestAbort:
-    def _engine(self, fail: bool) -> StudyEngine:
+    def _engine(
+        self, fail: bool, failing_shard: int = 1, **execution
+    ) -> StudyEngine:
         config = _config(
             days=1, run_probes=False, run_crossdomain=False,
-            run_support_scans=False,
+            run_support_scans=False, **execution,
         )
-        return StudyEngine(
-            config, registry=ExperimentRegistry([_FlakyExperiment(fail)])
-        )
+        return StudyEngine(config, registry=ExperimentRegistry(
+            [_FlakyExperiment(fail, failing_shard)]
+        ))
 
     def test_shard_failure_keeps_siblings_checkpointed(self, tmp_path):
         out = str(tmp_path / "aborted")
         with pytest.raises(StudyAborted) as excinfo:
-            self._engine(fail=True).run(
-                _ecosystem(), shards=2, workers=1, stream_dir=out
-            )
+            self._engine(fail=True, shards=2, stream_dir=out).run(_ecosystem())
         aborted = excinfo.value
         assert aborted.failed_shards == [1]
         assert aborted.completed_shards == [0]
@@ -232,19 +251,18 @@ class TestAbort:
 
         # A later resume (bug fixed) completes from the kept checkpoint
         # and produces the same bytes as a never-failed run.
-        self._engine(fail=False).run(
-            _ecosystem(), shards=2, workers=1, stream_dir=out, resume=True
+        self._engine(fail=False, shards=2, stream_dir=out).run(
+            _ecosystem(), resume=True
         )
         clean = str(tmp_path / "clean")
-        self._engine(fail=False).run(
-            _ecosystem(), shards=2, workers=1, stream_dir=clean
-        )
+        self._engine(fail=False, shards=2, stream_dir=clean).run(_ecosystem())
         assert _dataset_digest(out) == _dataset_digest(clean)
 
     def test_fail_fast_stops_dispatching(self, tmp_path):
+        out = str(tmp_path / "failfast")
         config = _config(
             days=1, run_probes=False, run_crossdomain=False,
-            run_support_scans=False,
+            run_support_scans=False, shards=3, stream_dir=out,
         )
 
         class _FailFirst(Experiment):
@@ -259,17 +277,81 @@ class TestAbort:
                     raise RuntimeError("boom")
 
         engine = StudyEngine(config, registry=ExperimentRegistry([_FailFirst()]))
-        out = str(tmp_path / "failfast")
         with pytest.raises(StudyAborted) as excinfo:
-            engine.run(
-                _ecosystem(), shards=3, workers=1,
-                stream_dir=out, fail_fast=True,
-            )
+            engine.run(_ecosystem(), fail_fast=True)
         # Shard 0 failed first; fail_fast stopped before shards 1 and 2.
         assert excinfo.value.failed_shards == [0]
         assert excinfo.value.completed_shards == []
 
     def test_unstreamed_abort_reports_no_checkpoint(self):
         with pytest.raises(StudyAborted, match="nothing was checkpointed") as excinfo:
-            self._engine(fail=True).run(_ecosystem(), shards=2, workers=1)
+            self._engine(fail=True, shards=2).run(_ecosystem())
         assert excinfo.value.checkpoint_dir is None
+
+    @pytest.mark.parametrize("streamed", [True, False])
+    def test_single_shard_failure_aborts(self, tmp_path, streamed):
+        """``shards=1`` takes the same shard runner: a failing experiment
+        raises StudyAborted, not the experiment's own exception."""
+        out = str(tmp_path / "single") if streamed else None
+        engine = self._engine(fail=True, failing_shard=0, stream_dir=out)
+        with pytest.raises(StudyAborted, match="injected shard failure") as excinfo:
+            engine.run(_ecosystem())
+        aborted = excinfo.value
+        assert aborted.failed_shards == [0]
+        assert aborted.completed_shards == []
+        if streamed:
+            assert aborted.checkpoint_dir == os.path.join(out, "checkpoint")
+        else:
+            assert aborted.checkpoint_dir is None
+
+
+#: ``checkpoint/run.json`` exactly as the previous release wrote it for a
+#: two-shard, daily-sweeps-only study over 320 domains (ecosystem seed
+#: 2016), and the sha256 of that study's uninterrupted dataset directory.
+EARLIER_RUN_JSON = (
+    '{"schema": "repro-checkpoint/1", "fingerprint": {"ecosystem": '
+    '{"blacklist_fraction": 0.004, "churn_daily_fraction": 0.008, '
+    '"curve_name": "secp128r1", "dh_group_name": "test-256", '
+    '"failure_rate": 0.012, "key_pool_size": 48, "lb_jitter_fraction": 0.05, '
+    '"multi_ip_fraction": 0.08, "mx_google_fraction": 0.091, '
+    '"population": 320, "reserve_fraction": 0.25, "rsa_bits": 512, '
+    '"seed": 2016, "study_days": 63}, "shards": 2, "study": {"chaos": null, '
+    '"crossdomain_day": 50, "days": 2, "dhe_support_day": 43, '
+    '"ecdhe_support_day": 44, "probe_domain_count": 400, "retry": null, '
+    '"run_crossdomain": false, "run_probes": false, '
+    '"run_support_scans": false, "seed": 404, "session_probe_day": 56, '
+    '"shards": 2, "support_scan_connections": 10, '
+    '"support_scan_window": 21600.0, "ticket_probe_day": 58, '
+    '"ticket_support_day": 46}}, "cli": {}}'
+)
+EARLIER_FINGERPRINT_DIGEST = (
+    "82ff401b1963aeda55d8653f9cdb5637dbb8baae116838232697d55cb5baa4ee"
+)
+EARLIER_DATASET_DIGEST = (
+    "0359d5fe57af99eec523eda63648e88a782ddac604326fdac3d13b5a8bf3f197"
+)
+
+
+def test_earlier_checkpoint_resumes_byte_identically(tmp_path):
+    """A run killed under the previous release (its ``run.json``, shard 1
+    checkpointed) finishes via ``repro study --resume`` with the bytes
+    that release wrote for the uninterrupted study."""
+    from repro.cli import main
+
+    stream = str(tmp_path / "stream")
+    os.makedirs(os.path.join(stream, "checkpoint"))
+    with open(os.path.join(stream, "checkpoint", "run.json"), "w") as fh:
+        fh.write(EARLIER_RUN_JSON)
+    fingerprint = json.loads(EARLIER_RUN_JSON)["fingerprint"]
+    config = study_config_from_dict(fingerprint["study"])
+    ecosystem_config = EcosystemConfig(**fingerprint["ecosystem"])
+    assert fingerprint_digest(
+        checkpoint_fingerprint(config, ecosystem_config)
+    ) == EARLIER_FINGERPRINT_DIGEST
+    CheckpointStore(stream).save_shard(run_shard(
+        build_ecosystem(ecosystem_config), config, shard_id=1,
+        stream_dir=os.path.join(stream, "shards", "01"),
+    ))
+
+    assert main(["study", "--resume", stream, "--out", stream, "-q"]) == 0
+    assert _dataset_digest(stream) == EARLIER_DATASET_DIGEST

@@ -211,7 +211,7 @@ def test_custom_registry_refuses_process_pool():
 
 
 def test_serial_default_runs_on_callers_ecosystem(small_ecosystem_factory):
-    """shards=1 scans the ecosystem object the caller passed (legacy path)."""
+    """shards=1 scans the ecosystem object the caller passed."""
     ecosystem = small_ecosystem_factory()
     config = _small_config(days=1, run_probes=False, run_crossdomain=False,
                            run_support_scans=False)

@@ -1,4 +1,4 @@
-"""Event-driven scan core vs the blocking oracle: record identity.
+"""Fast path vs the record-layer oracle: record identity.
 
 The event-driven fast path (``fastpath`` + ``EventLoop`` pumping) is
 only admissible because it changes NOTHING about study output — not
@@ -6,7 +6,8 @@ under chaos, not at any concurrency, not at any worker count.  This
 suite runs the same chaos-laden study through every execution shape and
 pins byte-for-byte dataset equality plus merged-metric equality:
 
-* ``oracle=True`` (blocking reference path) vs the default event path;
+* ``oracle=True`` (record-layer exchange for every grab, on the same
+  event-loop sweep) vs the default fast path;
 * ``concurrency`` 1, 64, and 4096 (admission batch size must be
   invisible);
 * ``workers`` 1, 2, and 4 (process pool must be invisible — the event
@@ -78,15 +79,15 @@ def _dataset_digest(directory) -> str:
     return digest.hexdigest()
 
 
-#: label -> (StudyConfig overrides, run_study kwargs)
+#: label -> StudyConfig overrides
 SHAPES = {
-    "event": ({}, {}),
-    "oracle": ({"oracle": True}, {}),
-    "conc1": ({"concurrency": 1}, {}),
-    "conc64": ({"concurrency": 64}, {}),
-    "conc4096": ({"concurrency": 4096}, {}),
-    "workers2": ({}, {"workers": 2}),
-    "workers4": ({}, {"workers": 4}),
+    "event": {},
+    "oracle": {"oracle": True},
+    "conc1": {"concurrency": 1},
+    "conc64": {"concurrency": 64},
+    "conc4096": {"concurrency": 4096},
+    "workers2": {"workers": 2},
+    "workers4": {"workers": 4},
 }
 
 
@@ -94,16 +95,15 @@ class TestScaleEquivalence:
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
         out = {}
-        for label, (overrides, kwargs) in SHAPES.items():
+        for label, overrides in SHAPES.items():
             stream = tmp_path_factory.mktemp(f"scale-{label}")
             telemetry = tmp_path_factory.mktemp(f"scale-{label}-telemetry")
             ecosystem = build_ecosystem(
                 EcosystemConfig(population=POPULATION, seed=ECOSYSTEM_SEED)
             )
             dataset, stats = run_study_with_stats(
-                ecosystem, _config(**overrides),
-                stream_dir=str(stream), telemetry_dir=str(telemetry),
-                **kwargs,
+                ecosystem, _config(stream_dir=str(stream), **overrides),
+                telemetry_dir=str(telemetry),
             )
             out[label] = {
                 "digest": _dataset_digest(stream),
@@ -133,8 +133,8 @@ class TestScaleEquivalence:
     def test_merged_metrics_match_oracle(self, runs):
         # Every observable counter — grabs, failures by reason, retries,
         # injected faults, breaker transitions, ticket seals, cert
-        # validations — must agree between the event core and the
-        # blocking oracle, not just the dataset bytes.
+        # validations — must agree between the fast path and the
+        # record-layer oracle, not just the dataset bytes.
         counters = {}
         for label in ("event", "oracle"):
             path = os.path.join(runs[label]["telemetry"], "metrics.json")

@@ -1,10 +1,13 @@
-"""Sweep and daily-campaign scheduling tests."""
+"""Sweep scheduling tests."""
 
 import pytest
 
 from repro.crypto.rng import DeterministicRandom
-from repro.netsim.clock import DAY, HOUR
-from repro.scanner import DailyScanCampaign, SweepConfig, ZGrabber, sweep, thirty_minute_scan
+from repro.netsim.clock import HOUR
+from repro.scanner import SweepConfig, ZGrabber, sweep, thirty_minute_scan
+
+#: Small enough that the larger sweeps below span several admission batches.
+CONCURRENCY = 16
 
 
 @pytest.fixture()
@@ -19,7 +22,9 @@ def grabber(ecosystem):
 
 def test_sweep_scans_every_domain_once(grabber):
     domains = grabber.ecosystem.alexa_list()[:50]
-    observations = sweep(grabber, domains, SweepConfig(window_seconds=HOUR))
+    observations = sweep(
+        grabber, domains, SweepConfig(window_seconds=HOUR), concurrency=CONCURRENCY
+    )
     assert len(observations) == 50
     assert {o.domain for o in observations} == {name for _, name in domains}
 
@@ -27,7 +32,10 @@ def test_sweep_scans_every_domain_once(grabber):
 def test_sweep_spreads_over_window(grabber):
     domains = grabber.ecosystem.alexa_list()[:40]
     start = grabber.ecosystem.clock.now()
-    observations = sweep(grabber, domains, SweepConfig(window_seconds=2 * HOUR))
+    observations = sweep(
+        grabber, domains, SweepConfig(window_seconds=2 * HOUR),
+        concurrency=CONCURRENCY,
+    )
     elapsed = observations[-1].timestamp - start
     assert 1.5 * HOUR < elapsed <= 2 * HOUR
 
@@ -35,7 +43,8 @@ def test_sweep_spreads_over_window(grabber):
 def test_sweep_multi_connection(grabber):
     domains = grabber.ecosystem.alexa_list()[:20]
     observations = sweep(
-        grabber, domains, SweepConfig(connections_per_domain=3, window_seconds=HOUR)
+        grabber, domains, SweepConfig(connections_per_domain=3, window_seconds=HOUR),
+        concurrency=CONCURRENCY,
     )
     assert len(observations) == 60
     per_domain = {}
@@ -46,31 +55,24 @@ def test_sweep_multi_connection(grabber):
 
 
 def test_sweep_empty_list(grabber):
-    assert sweep(grabber, [], SweepConfig()) == []
+    assert sweep(grabber, [], SweepConfig(), concurrency=CONCURRENCY) == []
 
 
 def test_sweep_records_ranks(grabber):
     domains = grabber.ecosystem.alexa_list()[:10]
-    observations = sweep(grabber, domains, SweepConfig(window_seconds=60))
+    observations = sweep(
+        grabber, domains, SweepConfig(window_seconds=60), concurrency=CONCURRENCY
+    )
     for (rank, name), observation in zip(domains, observations):
         assert observation.rank == rank
         assert observation.domain == name
 
 
-def test_daily_campaign_accumulates(grabber):
-    campaign = DailyScanCampaign(grabber, window_seconds=HOUR)
-    ecosystem = grabber.ecosystem
-    for day in range(3):
-        ecosystem.advance_to(day * DAY)
-        campaign.run_day(ecosystem.alexa_list()[:30])
-    assert len(campaign.observations) == 90
-    days = {o.day for o in campaign.observations}
-    assert days == {0, 1, 2}
-
-
 def test_thirty_minute_scan_duration(grabber):
     ecosystem = grabber.ecosystem
     start = ecosystem.clock.now()
-    observations = thirty_minute_scan(grabber, ecosystem.alexa_list()[:25])
+    observations = thirty_minute_scan(
+        grabber, ecosystem.alexa_list()[:25], concurrency=CONCURRENCY
+    )
     assert len(observations) == 25
     assert ecosystem.clock.now() - start <= 30 * 60 + 1

@@ -143,6 +143,19 @@ def test_study_quiet_suppresses_progress(telemetry_run, capsys):
     assert "scanning day" not in capsys.readouterr().err
 
 
+def test_progress_lines_by_shard_count(capsys):
+    from repro.cli import _ProgressReporter
+
+    reporter = _ProgressReporter(verbosity=0)
+    for shards in (1, 2):
+        for day in range(3):  # day == days marks the shard done
+            reporter.shard(0, shards, day, 2)
+    assert capsys.readouterr().err == (
+        "\rscanning day 1/2\rscanning day 2/2"
+        "\rshard 1/2: day 1/2\rshard 1/2: day 2/2\rshard 1/2 done        "
+    )
+
+
 def test_study_writes_telemetry_next_to_dataset(telemetry_run):
     out, telemetry = telemetry_run
     assert (telemetry / "manifest.json").exists()
@@ -238,7 +251,7 @@ def test_resume_with_empty_key_pool_exits_2(tmp_path, capsys):
         session_probe_day=1, ticket_probe_day=1, shards=2,
     )
     fingerprint = checkpoint_fingerprint(
-        config, EcosystemConfig(population=420, seed=3), 2
+        config, EcosystemConfig(population=420, seed=3)
     )
     fingerprint["ecosystem"]["key_pool_size"] = 0
     CheckpointStore(stream).reset(fingerprint)
@@ -348,9 +361,9 @@ def test_resume_continues_a_partial_run(tmp_path, capsys):
     )
     ecosystem_config = EcosystemConfig(population=420, seed=3)
     store = CheckpointStore(stream)
-    store.reset(checkpoint_fingerprint(config, ecosystem_config, 2))
+    store.reset(checkpoint_fingerprint(config, ecosystem_config))
     store.save_shard(run_shard(
-        build_ecosystem(ecosystem_config), config, shard_id=0, shard_count=2,
+        build_ecosystem(ecosystem_config), config, shard_id=0,
         stream_dir=os.path.join(stream, "shards", "00"),
     ))
 
@@ -359,6 +372,29 @@ def test_resume_continues_a_partial_run(tmp_path, capsys):
     assert "dataset saved" in capsys.readouterr().out
     assert os.path.exists(os.path.join(out, "meta.json"))
     assert not os.path.exists(os.path.join(stream, "checkpoint"))
+
+
+def test_failing_single_shard_study_exits_3_with_resume_hint(
+    tmp_path, capsys, monkeypatch
+):
+    """At the default --shards 1 a failing experiment aborts like any
+    shard failure: exit 3, the resume hint, and a study.abort event."""
+    from repro.obs.events import load_events
+    from repro.scanner import DailySweepExperiment
+
+    def fail(self, ctx, day):
+        raise RuntimeError("injected sweep failure")
+
+    monkeypatch.setattr(DailySweepExperiment, "run_day", fail)
+    stream = str(tmp_path / "stream")
+    events = str(tmp_path / "events.jsonl")
+    code = main(["study", "--days", "2", "--out", stream, "--stream-dir",
+                 stream, "--events", events, "-q"] + ECO_ARGS)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "injected sweep failure" in err
+    assert f"resume with: repro study --resume {stream} --out {stream}" in err
+    assert "study.abort" in [record["event"] for record in load_events(events)]
 
 
 # -- PR-8: live observability plane ------------------------------------
