@@ -34,6 +34,7 @@ and never leave gaps):
 from __future__ import annotations
 
 import json
+import json.scanner
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence
@@ -115,9 +116,43 @@ def iter_chunk_rows(blob: bytes) -> Iterator[dict]:
             yield json.loads(line)
 
 
+#: Bytes that ``str.splitlines`` treats as line breaks but
+#: ``bytes.splitlines`` does not (``\x0b \x0c \x1c-\x1e``), or that can
+#: make ``json.loads`` detect a UTF-16/32 encoding (``\x00``).  A chunk
+#: that is ASCII and free of them splits into the same lines as text
+#: as it does as bytes, and each line decodes as ``json.loads`` would.
+#: (Six ``in`` tests are memchr scans, far faster than one regex search.)
+_TEXT_UNSAFE = (b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+#: The C scanner behind ``json.loads``, called once per row.
+_scan_row = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def parse_chunk(blob: bytes) -> List[dict]:
-    """All rows of a chunk as a list (each row parsed exactly once)."""
-    return list(iter_chunk_rows(blob))
+    """All rows of a chunk as a list (each row parsed exactly once).
+
+    Returns what ``list(iter_chunk_rows(blob))`` returns, or raises what
+    it raises, with a faster path for the usual chunk: decode the blob
+    once and scan each line with the C scanner.  A line the scanner does
+    not consume exactly (leading or trailing whitespace, extra data, a
+    syntax error) goes to ``json.loads``, which returns the same row or
+    raises the same error as the per-line path.
+    """
+    if not blob.isascii() or any(byte in blob for byte in _TEXT_UNSAFE):
+        return list(iter_chunk_rows(blob))
+    rows = []
+    for line in blob.decode("ascii").splitlines():
+        try:
+            row, end = _scan_row(line, 0)
+        except StopIteration:
+            end = -1
+        if end != len(line):
+            # ``bytes.strip`` removes only space and tab from a line here.
+            if not line.strip(" \t"):
+                continue
+            row = json.loads(line)
+        rows.append(row)
+    return rows
 
 
 def iter_channel_rows(directory: str, channel: str) -> Iterator[dict]:

@@ -161,7 +161,9 @@ def _write_cache(path: str, chunk: Chunk, digest: str, rows: int,
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)  # no sort_keys: state key order is load-bearing
+        # One-shot dumps runs the C encoder; streaming json.dump never
+        # does.  No sort_keys: state key order is load-bearing.
+        fh.write(json.dumps(payload))
     os.replace(tmp, path)
 
 

@@ -62,10 +62,21 @@ from .scanner.checkpoint import study_config_from_dict
 log = logging.getLogger("repro")
 
 
-def _add_ecosystem_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--population", type=int, default=450,
+class _StudySetting(argparse.Action):
+    """Stores an output-affecting ``repro study`` option and notes that
+    it was given: ``--resume`` restores every such setting from the
+    checkpoint, so it refuses the ones listed in ``given_settings``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given_settings += (self.option_strings[0],)
+
+
+def _add_ecosystem_arguments(parser: argparse.ArgumentParser,
+                             action="store") -> None:
+    parser.add_argument("--population", type=int, default=450, action=action,
                         help="ranked-list size (default 450)")
-    parser.add_argument("--seed", type=int, default=2016,
+    parser.add_argument("--seed", type=int, default=2016, action=action,
                         help="deterministic ecosystem seed (default 2016)")
 
 
@@ -198,10 +209,16 @@ def _resumed_study(args) -> tuple["object", StudyConfig]:
     the original study configuration and ecosystem knobs — so a resume
     cannot accidentally merge shards from two different studies; only
     execution knobs (``--workers``, ``--concurrency``, ``--oracle``)
-    are taken from the new invocation.
+    are taken from the new invocation.  An output-affecting option
+    given next to ``--resume`` would be ignored, so it is refused.
     """
     store = CheckpointStore(args.resume)
     state = store.load_run_state()
+    if args.given_settings:
+        raise UsageError(
+            f"{', '.join(args.given_settings)} cannot change a resumed study "
+            "(--resume restores its settings from the checkpoint)"
+        )
     fingerprint = state.get("fingerprint", {})
     config = study_config_from_dict(
         dict(fingerprint.get("study", {})),
@@ -670,10 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(func=cmd_scan)
 
     study = sub.add_parser("study", help="run the longitudinal study")
-    study.add_argument("--days", type=int, default=14,
+    study.add_argument("--days", type=int, default=14, action=_StudySetting,
                        help="study length in days (default 14)")
     study.add_argument("--out", required=True, help="dataset output directory")
-    study.add_argument("--shards", type=int, default=1,
+    study.add_argument("--shards", type=int, default=1, action=_StudySetting,
                        help="deterministic population shards; the only "
                             "parallelism knob that affects output (default 1)")
     study.add_argument("--workers", type=int, default=1,
@@ -709,13 +726,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON repro-chaos/1 impairment profile "
                             "(see examples/chaos_profile.json)")
     study.add_argument("--retries", type=int, default=1, metavar="N",
+                       action=_StudySetting,
                        help="connection attempts per grab with capped "
                             "exponential backoff on the virtual clock "
                             "(default 1 = never retry)")
     study.add_argument("--retry-budget", type=int, default=None, metavar="N",
+                       action=_StudySetting,
                        help="cap total retries across the whole study "
                             "(default unlimited)")
     study.add_argument("--breaker-threshold", type=int, default=0, metavar="N",
+                       action=_StudySetting,
                        help="open a per-domain circuit breaker after N "
                             "consecutive failed grabs (default 0 = disabled)")
     study.add_argument("--fail-fast", action="store_true",
@@ -743,8 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "timers and a slowest-grabs board, aggregated "
                             "into <telemetry-dir>/profile/ (requires "
                             "--telemetry-dir; surfaced by `repro stats`)")
-    _add_ecosystem_arguments(study)
-    study.set_defaults(func=cmd_study)
+    _add_ecosystem_arguments(study, action=_StudySetting)
+    study.set_defaults(func=cmd_study, given_settings=())
 
     watch = sub.add_parser(
         "watch", help="follow a running --serve-metrics study, or "

@@ -326,7 +326,7 @@ class SpoolPush:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
+                fh.write(json.dumps(payload))
             os.replace(tmp, os.path.join(self.directory, name))
         except BaseException:
             try:

@@ -230,6 +230,9 @@ class CheckpointStore:
         path = os.path.join(self.directory, name)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
+            # Streamed on purpose: a shard checkpoint carries the shard's
+            # whole event log (MBs under chaos), which one-shot json.dumps
+            # would hold in memory at once.
             json.dump(payload, fh)
         os.replace(tmp, path)
 

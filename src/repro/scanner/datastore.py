@@ -202,7 +202,7 @@ def write_meta(directory: str, meta: dict) -> None:
     """Persist a dataset's ``meta.json`` (scalar + mapping fields)."""
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
+        fh.write(json.dumps(meta))
 
 
 def read_meta(directory: str) -> dict:

@@ -8,6 +8,7 @@ byte-identity guarantee rests on this.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.chunks import (
     DEFAULT_CHUNK_BYTES,
@@ -106,3 +107,38 @@ def test_channels_in_order_dedups_first_seen():
 
 def test_default_chunk_bytes_is_sane():
     assert DEFAULT_CHUNK_BYTES >= 1 << 16
+
+
+#: Pieces of chunk bytes: JSON rows and fragments, every whitespace and
+#: line-break byte that ``bytes`` and ``str`` treat differently, a UTF-8
+#: BOM, non-ASCII bytes, NaN/Infinity, and an int past the 4300-digit
+#: conversion limit.
+TOKENS = [
+    b'{"n": 1}', b'{"n": 1} {"n": 2}', b"[1, 2]", b'"s"', b"NaN",
+    b"-Infinity", b"1e400", b"9" * 4301, b"{", b"}", b"[", b"]", b'"',
+    b":", b",", b"\\", b"u00e9", b" ", b"\t", b"\n", b"\r", b"\r\n",
+    b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f",
+    b"\x85", b"\xef\xbb\xbf", b"\xc3\xa9", b"\xe2\x80\xa8", b"\xff",
+    b"\x01",
+]
+
+
+def _outcome(parse, blob):
+    try:
+        return "rows", parse(blob)
+    except Exception as exc:  # the error is the outcome under test
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.binary(max_size=48),
+                 st.lists(st.sampled_from(TOKENS), max_size=16).map(b"".join)))
+def test_parse_chunk_matches_per_line_json_loads(blob):
+    """The fast path returns the rows, or raises the error, of
+    ``json.loads`` on each non-blank line of ``bytes.splitlines``."""
+    def reference(data):
+        return [json.loads(line) for line in data.splitlines()
+                if line.strip()]
+
+    # repr, because rows holding NaN never compare equal.
+    assert repr(_outcome(parse_chunk, blob)) == repr(_outcome(reference, blob))

@@ -11,11 +11,13 @@ dict order included.
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 from helpers import canon
 
 from repro import core
+from repro.analysis import engine
 from repro.analysis import (
     CACHE_DIR_NAME,
     analyze,
@@ -33,6 +35,12 @@ CHUNK = 1 << 16  # small enough for several chunks per daily channel
 REPORT_SHA256 = "3b5d5e3980996b802b9558ead8d806c3935af601a274e841f0e15a18d3867378"
 AUDIT_SHA256 = "b336586144ed59327a372bac7000c2c3b4130487f36f7335cfbc2eb7eab40b91"
 PINNED = (REPORT_SHA256, AUDIT_SHA256)
+
+#: sha256 of the ``<file name> <file sha256>`` lines, one per cache file
+#: in name order, of the ``.analysis/`` directory a cold ``CHUNK``-sized
+#: run writes over the ``small_study`` dataset (212 files).
+CACHE_FILES = 212
+CACHE_SHA256 = "8dc2ed4df2d5efdd598b857a95cfe81ab87a1a0239f998a7da3b25b7350e4e32"
 
 
 def sha256(text):
@@ -54,6 +62,24 @@ def streamed_digests(directory, **kwargs):
     return result, (sha256(report), sha256(audit))
 
 
+def cold_copy(saved_dataset, tmp_path):
+    """The dataset's files in a new directory, without a partial cache."""
+    directory = str(tmp_path / "dataset")
+    shutil.copytree(saved_dataset, directory,
+                    ignore=shutil.ignore_patterns(CACHE_DIR_NAME))
+    return directory
+
+
+def cache_digest(directory):
+    cache_dir = os.path.join(directory, CACHE_DIR_NAME)
+    names = sorted(os.listdir(cache_dir))
+    lines = []
+    for name in names:
+        with open(os.path.join(cache_dir, name), "rb") as fh:
+            lines.append(f"{name} {hashlib.sha256(fh.read()).hexdigest()}\n")
+    return len(names), sha256("".join(lines))
+
+
 def test_cold_run_matches_pinned_bytes_and_misses_cache(saved_dataset):
     result, digests = streamed_digests(saved_dataset, use_cache=True)
     assert result.chunks > 12  # the small chunk size actually split files
@@ -66,6 +92,42 @@ def test_warm_run_hits_cache_and_stays_identical(saved_dataset):
     result, digests = streamed_digests(saved_dataset, use_cache=True)
     assert result.cache_hits == result.chunks
     assert result.cache_misses == 0
+    assert digests == PINNED
+
+
+def test_cache_files_match_pinned_bytes(saved_dataset, tmp_path):
+    directory = cold_copy(saved_dataset, tmp_path)
+    streamed_digests(directory, use_cache=True)
+    assert cache_digest(directory) == (CACHE_FILES, CACHE_SHA256)
+
+
+def test_cache_written_by_the_streaming_encoder_is_a_warm_hit(
+        saved_dataset, tmp_path, monkeypatch):
+    """A cache written the way earlier releases wrote it (``json.dump``
+    streaming through the pure-Python encoder) has the pinned bytes,
+    and every chunk of it is a hit."""
+    def write_cache_streaming(path, chunk, digest, rows, states, specs):
+        payload = {
+            "schema": engine.CACHE_SCHEMA,
+            "chunk": {"channel": chunk.channel, "start": chunk.start,
+                      "end": chunk.end},
+            "sha256": digest,
+            "rows": rows,
+            "states": {
+                name: {"spec": specs[name], "state": state}
+                for name, state in states.items()
+            },
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+
+    directory = cold_copy(saved_dataset, tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_write_cache", write_cache_streaming)
+        streamed_digests(directory, use_cache=True)
+    assert cache_digest(directory) == (CACHE_FILES, CACHE_SHA256)
+    result, digests = streamed_digests(directory, use_cache=True)
+    assert result.cache_hits == result.chunks == CACHE_FILES
     assert digests == PINNED
 
 

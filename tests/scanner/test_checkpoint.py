@@ -332,26 +332,83 @@ EARLIER_DATASET_DIGEST = (
 )
 
 
+def _earlier_stream(tmp_path, with_shard=True) -> str:
+    """A stream directory holding the previous release's ``run.json``
+    and, with ``with_shard``, shard 1's checkpoint (a run killed after
+    shard 1 finished)."""
+    stream = str(tmp_path / "stream")
+    os.makedirs(os.path.join(stream, "checkpoint"))
+    with open(os.path.join(stream, "checkpoint", "run.json"), "w") as fh:
+        fh.write(EARLIER_RUN_JSON)
+    if with_shard:
+        fingerprint = json.loads(EARLIER_RUN_JSON)["fingerprint"]
+        CheckpointStore(stream).save_shard(run_shard(
+            build_ecosystem(EcosystemConfig(**fingerprint["ecosystem"])),
+            study_config_from_dict(fingerprint["study"]), shard_id=1,
+            stream_dir=os.path.join(stream, "shards", "01"),
+        ))
+    return stream
+
+
 def test_earlier_checkpoint_resumes_byte_identically(tmp_path):
     """A run killed under the previous release (its ``run.json``, shard 1
     checkpointed) finishes via ``repro study --resume`` with the bytes
     that release wrote for the uninterrupted study."""
     from repro.cli import main
 
-    stream = str(tmp_path / "stream")
-    os.makedirs(os.path.join(stream, "checkpoint"))
-    with open(os.path.join(stream, "checkpoint", "run.json"), "w") as fh:
-        fh.write(EARLIER_RUN_JSON)
     fingerprint = json.loads(EARLIER_RUN_JSON)["fingerprint"]
     config = study_config_from_dict(fingerprint["study"])
     ecosystem_config = EcosystemConfig(**fingerprint["ecosystem"])
     assert fingerprint_digest(
         checkpoint_fingerprint(config, ecosystem_config)
     ) == EARLIER_FINGERPRINT_DIGEST
-    CheckpointStore(stream).save_shard(run_shard(
-        build_ecosystem(ecosystem_config), config, shard_id=1,
-        stream_dir=os.path.join(stream, "shards", "01"),
-    ))
+    stream = _earlier_stream(tmp_path)
 
     assert main(["study", "--resume", stream, "--out", stream, "-q"]) == 0
     assert _dataset_digest(stream) == EARLIER_DATASET_DIGEST
+
+
+@pytest.mark.parametrize("settings", [
+    ["--shards", "3", "--days", "5", "--population", "900"],
+    ["--shards", "2"],  # the checkpoint's own value is refused too
+    ["--seed", "2016"],
+    ["--retries", "3"],
+    ["--retry-budget", "5"],
+    ["--breaker-threshold", "2"],
+])
+def test_resume_refuses_output_settings(tmp_path, capsys, settings):
+    """An output-affecting option next to ``--resume`` would be silently
+    overridden by the checkpoint, so the CLI refuses it in one line."""
+    from repro.cli import main
+
+    stream = _earlier_stream(tmp_path, with_shard=False)
+    before = sorted(os.listdir(os.path.join(stream, "checkpoint")))
+    out = str(tmp_path / "out")
+    assert main(["study", "--resume", stream, "--out", out, "-q"]
+                + settings) == 2
+    captured = capsys.readouterr()
+    flags = [arg for arg in settings if arg.startswith("--")]
+    assert captured.err == (
+        f"repro: error: {', '.join(flags)} cannot change a resumed study "
+        "(--resume restores its settings from the checkpoint)\n"
+    )
+    assert captured.out == ""
+    assert sorted(os.listdir(os.path.join(stream, "checkpoint"))) == before
+    assert not os.path.exists(out)
+
+
+def test_resume_accepts_execution_flags(tmp_path):
+    """Execution-only options still apply to a resumed study, and the
+    bytes stay those of the uninterrupted run."""
+    from repro.cli import main
+
+    stream = _earlier_stream(tmp_path)
+    telemetry = str(tmp_path / "telemetry")
+    assert main([
+        "study", "--resume", stream, "--out", stream, "-q",
+        "--workers", "2", "--concurrency", "64", "--oracle",
+        "--telemetry-dir", telemetry, "--profile",
+        "--events", str(tmp_path / "events.jsonl"), "--serve-metrics", "0",
+    ]) == 0
+    assert _dataset_digest(stream) == EARLIER_DATASET_DIGEST
+    assert os.path.isdir(os.path.join(telemetry, "profile"))
