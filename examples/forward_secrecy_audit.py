@@ -14,9 +14,6 @@ set REPRO_EXAMPLE_QUICK=1 for a smaller ~30 s variant, as CI does)
 """
 
 import os
-import shutil
-import tempfile
-from dataclasses import replace
 
 from repro import EcosystemConfig, StudyConfig, build_ecosystem, core
 from repro.analysis import analyze, audit_inputs_from_analysis
@@ -43,57 +40,54 @@ def main() -> None:
             dhe_support_day=2, ecdhe_support_day=3, ticket_support_day=4,
             crossdomain_day=5, session_probe_day=6, ticket_probe_day=8,
         )
-    workdir = tempfile.mkdtemp(prefix="fs-audit-")
-    try:
-        print(f"scanning {len(ecosystem.active_domains())} domains daily "
-              f"for {STUDY_DAYS} days (streaming to {workdir})…")
-        run_study(ecosystem, replace(config, stream_dir=workdir))
+    print(f"scanning {len(ecosystem.active_domains())} domains daily "
+          f"for {STUDY_DAYS} days…")
+    # The study streams into a temporary directory the dataset owns.
+    dataset = run_study(ecosystem, config)
 
-        # Fold the on-disk channels into mergeable partials; nothing is
-        # loaded whole.  A second run would hit the .analysis/ cache.
-        result = analyze(workdir, workers=2)
-        print(f"analyzed {sum(result.channel_rows.values()):,} records in "
-              f"{result.chunks} chunks ({result.elapsed_seconds:.1f}s)")
-        inputs = audit_inputs_from_analysis(result)
-        windows = inputs.windows
+    # Fold the on-disk channels into mergeable partials; nothing is
+    # loaded whole.  A second run would hit the .analysis/ cache.
+    result = analyze(dataset.directory, workers=2)
+    print(f"analyzed {sum(result.channel_rows.values()):,} records in "
+          f"{result.chunks} chunks ({result.elapsed_seconds:.1f}s)")
+    inputs = audit_inputs_from_analysis(result)
+    windows = inputs.windows
 
-        summary = core.summarize_exposure(windows)
-        print()
-        print(core.render_exposure_summary(summary))
+    summary = core.summarize_exposure(windows)
+    print()
+    print(core.render_exposure_summary(summary))
 
-        print()
-        print(ascii_cdf(
-            core.combined_window_cdf(windows),
-            "Figure 8-style CDF: combined vulnerability windows",
-            x_label="window (log scale)",
-            min_x=60.0,
-        ))
+    print()
+    print(ascii_cdf(
+        core.combined_window_cdf(windows),
+        "Figure 8-style CDF: combined vulnerability windows",
+        x_label="window (log scale)",
+        min_x=60.0,
+    ))
 
-        # Name and shame: the ten most exposed popular domains.
-        worst = sorted(
-            windows.values(),
-            key=lambda w: (-w.combined, inputs.ranks.get(w.domain, 1 << 30)),
-        )[:10]
-        print("\nmost exposed domains (window, dominant mechanism):")
-        for window in worst:
-            rank = inputs.ranks.get(window.domain, 0)
-            print(f"  #{rank:<6} {window.domain:<32} "
-                  f"{format_duration(window.combined):>8}  "
-                  f"via {window.dominant_mechanism}")
+    # Name and shame: the ten most exposed popular domains.
+    worst = sorted(
+        windows.values(),
+        key=lambda w: (-w.combined, inputs.ranks.get(w.domain, 1 << 30)),
+    )[:10]
+    print("\nmost exposed domains (window, dominant mechanism):")
+    for window in worst:
+        rank = inputs.ranks.get(window.domain, 0)
+        print(f"  #{rank:<6} {window.domain:<32} "
+              f"{format_duration(window.combined):>8}  "
+              f"via {window.dominant_mechanism}")
 
-        # What an operator should take away (§8).
-        over_day = [w for w in windows.values() if w.combined > DAY]
-        by_mechanism = {}
-        for window in over_day:
-            by_mechanism[window.dominant_mechanism] = (
-                by_mechanism.get(window.dominant_mechanism, 0) + 1
-            )
-        print(f"\nof the {len(over_day)} domains exposed >24 h, the dominant "
-              f"mechanism was: {by_mechanism}")
-        print("recommendation: rotate STEKs daily, cap session caches, and "
-              "never cache (EC)DHE values (paper §8.2).")
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+    # What an operator should take away (§8).
+    over_day = [w for w in windows.values() if w.combined > DAY]
+    by_mechanism = {}
+    for window in over_day:
+        by_mechanism[window.dominant_mechanism] = (
+            by_mechanism.get(window.dominant_mechanism, 0) + 1
+        )
+    print(f"\nof the {len(over_day)} domains exposed >24 h, the dominant "
+          f"mechanism was: {by_mechanism}")
+    print("recommendation: rotate STEKs daily, cap session caches, and "
+          "never cache (EC)DHE values (paper §8.2).")
 
 
 if __name__ == "__main__":

@@ -4,11 +4,10 @@ Subcommands mirror the library's workflow:
 
 * ``scan DOMAIN``   — one zgrab-style connection against a synthetic
   ecosystem, printing the crypto-shortcut signals.
-* ``study``         — run the longitudinal study and save the dataset
-  (JSONL) to a directory; ``--shards``/``--workers`` shard the
-  population across processes (output depends only on ``--shards``)
-  and ``--stream-dir`` spills observations to disk as they are
-  produced.
+* ``study``         — run the longitudinal study, streaming the dataset
+  (JSONL) into a directory as it is scanned, so a killed run resumes
+  with ``--resume DIR``; ``--shards``/``--workers`` shard the
+  population across processes (output depends only on ``--shards``).
 * ``report DIR``    — regenerate the paper's tables from a saved
   dataset.
 * ``stats DIR``     — render the telemetry a study wrote with
@@ -55,7 +54,6 @@ from .scanner import (
     StudyConfig,
     ZGrabber,
     run_study_with_stats,
-    save_dataset,
 )
 from .scanner.checkpoint import study_config_from_dict
 
@@ -210,7 +208,8 @@ def _resumed_study(args) -> tuple["object", StudyConfig]:
     cannot accidentally merge shards from two different studies; only
     execution knobs (``--workers``, ``--concurrency``, ``--oracle``)
     are taken from the new invocation.  An output-affecting option
-    given next to ``--resume`` would be ignored, so it is refused.
+    given next to ``--resume`` would be ignored, so it is refused, and
+    so is an ``--out`` other than the resumed directory.
     """
     store = CheckpointStore(args.resume)
     state = store.load_run_state()
@@ -218,6 +217,11 @@ def _resumed_study(args) -> tuple["object", StudyConfig]:
         raise UsageError(
             f"{', '.join(args.given_settings)} cannot change a resumed study "
             "(--resume restores its settings from the checkpoint)"
+        )
+    if args.out and os.path.abspath(args.out) != os.path.abspath(args.resume):
+        raise UsageError(
+            "--resume DIR finishes the dataset in DIR; a different --out "
+            "would split the run"
         )
     fingerprint = state.get("fingerprint", {})
     config = study_config_from_dict(
@@ -236,8 +240,11 @@ def _resumed_study(args) -> tuple["object", StudyConfig]:
 
 
 def cmd_study(args) -> int:
+    out = args.resume or args.out
+    if out is None:
+        raise UsageError("study needs --out DIR (or --resume DIR)")
     if args.telemetry_dir and (
-        os.path.abspath(args.telemetry_dir) == os.path.abspath(args.out)
+        os.path.abspath(args.telemetry_dir) == os.path.abspath(out)
     ):
         print("--telemetry-dir must not be the dataset --out directory "
               "(telemetry lives next to the dataset, not inside it)",
@@ -247,12 +254,6 @@ def cmd_study(args) -> int:
         if args.chaos is not None or args.chaos_profile:
             print("--resume takes its chaos profile from the checkpoint; "
                   "drop --chaos/--chaos-profile", file=sys.stderr)
-            return 2
-        if args.stream_dir and (
-            os.path.abspath(args.stream_dir) != os.path.abspath(args.resume)
-        ):
-            print("--resume DIR already names the stream directory; a "
-                  "different --stream-dir would split the run", file=sys.stderr)
             return 2
         try:
             ecosystem, config = _resumed_study(args)
@@ -284,7 +285,7 @@ def cmd_study(args) -> int:
             ticket_probe_day=_scaled_day(58, args.days),
             shards=args.shards,
             workers=args.workers,
-            stream_dir=args.stream_dir,
+            stream_dir=out,
             concurrency=args.concurrency,
             oracle=args.oracle,
             chaos=chaos,
@@ -330,12 +331,9 @@ def cmd_study(args) -> int:
         if live is not None:
             live.study_aborted(str(exc))
         print(f"error: {exc}", file=sys.stderr)
-        if exc.checkpoint_dir:
-            stream = os.path.dirname(exc.checkpoint_dir)
-            print(f"partial checkpoint kept at {exc.checkpoint_dir}",
-                  file=sys.stderr)
-            print(f"resume with: repro study --resume {stream} "
-                  f"--out {args.out}", file=sys.stderr)
+        print(f"partial checkpoint kept at {exc.checkpoint_dir}",
+              file=sys.stderr)
+        print(f"resume with: repro study --resume {out}", file=sys.stderr)
         return 3
     except CheckpointMismatch as exc:
         reporter.close()
@@ -345,8 +343,7 @@ def cmd_study(args) -> int:
         if live is not None:
             live.stop()
     reporter.close()
-    save_dataset(dataset, args.out)
-    print(f"dataset saved to {args.out} "
+    print(f"dataset saved to {out} "
           f"({len(dataset.ticket_daily):,} daily ticket observations)")
     print(stats.render())
     if args.telemetry_dir:
@@ -689,7 +686,10 @@ def build_parser() -> argparse.ArgumentParser:
     study = sub.add_parser("study", help="run the longitudinal study")
     study.add_argument("--days", type=int, default=14, action=_StudySetting,
                        help="study length in days (default 14)")
-    study.add_argument("--out", required=True, help="dataset output directory")
+    study.add_argument("--out", default=None, metavar="DIR",
+                       help="dataset directory; records stream into it as "
+                            "they are produced, so a killed run finishes "
+                            "with --resume DIR (required unless --resume)")
     study.add_argument("--shards", type=int, default=1, action=_StudySetting,
                        help="deterministic population shards; the only "
                             "parallelism knob that affects output (default 1)")
@@ -709,10 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "path, on the same event-loop sweep; output is "
                             "byte-identical, several times slower — the "
                             "reference for equivalence checks")
-    study.add_argument("--stream-dir", default=None,
-                       help="stream observations to JSONL in this directory "
-                            "as they are produced instead of holding them "
-                            "in memory (may equal --out)")
     study.add_argument("--telemetry-dir", default=None,
                        help="write a run manifest (grabs/sec, peak RSS) and "
                             "merged metrics here (must NOT be the dataset "
@@ -743,10 +739,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "failure instead of letting sibling shards "
                             "finish and checkpoint")
     study.add_argument("--resume", default=None, metavar="DIR",
-                       help="resume a killed streamed study from DIR's "
-                            "checkpoint (config is restored from the "
-                            "checkpoint; output is byte-identical to an "
-                            "uninterrupted run)")
+                       help="resume a killed study from DIR's checkpoint "
+                            "and finish its dataset in DIR (config is "
+                            "restored from the checkpoint; output is "
+                            "byte-identical to an uninterrupted run)")
     study.add_argument("--serve-metrics", type=int, default=None,
                        metavar="PORT",
                        help="serve live /metrics (Prometheus), /progress, "

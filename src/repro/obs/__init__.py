@@ -53,12 +53,7 @@ from .metrics import (
 )
 from .profiling import PROFILER, Profiler, render_profile_report
 from .progress import ProgressTracker, render_progress
-from .report import (
-    parse_prometheus,
-    render_prometheus,
-    render_stats_report,
-    to_prom_snapshot,
-)
+from .report import render_prometheus, render_stats_report
 
 __all__ = [
     "EVENTS",
@@ -75,8 +70,6 @@ __all__ = [
     "render_profile_report",
     "ProgressTracker",
     "render_progress",
-    "parse_prometheus",
-    "to_prom_snapshot",
     "METRICS",
     "MetricsRegistry",
     "Counter",

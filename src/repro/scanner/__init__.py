@@ -3,17 +3,12 @@
 Layered as: grabs (:mod:`grab`) → scan patterns (:mod:`schedule`,
 :mod:`resumption`, :mod:`crossdomain`) → pluggable experiments
 (:mod:`experiments`) → sharded streaming engine (:mod:`engine`) →
-study configuration/persistence (:mod:`study`) → storage & query
+study configuration/persistence (:mod:`study`) → storage
 (:mod:`records`, :mod:`datastore`).
 """
 
 from .crossdomain import CrossDomainConfig, ProbeTarget, cross_domain_cache_probe
-from .datastore import (
-    IndexStats,
-    JsonlWriter,
-    LazyRecordView,
-    ScanIndex,
-)
+from .datastore import JsonlWriter, LazyRecordView
 from .checkpoint import CheckpointMismatch, CheckpointStore
 from .engine import ShardResult, StudyAborted, StudyEngine, StudyStats, run_shard
 from .experiments import (
@@ -50,8 +45,6 @@ from .study import (
 
 __all__ = [
     "ZGrabber",
-    "ScanIndex",
-    "IndexStats",
     "JsonlWriter",
     "LazyRecordView",
     "ScanObservation",

@@ -2,7 +2,7 @@
 
 Because each shard is a pure function of ``(study config, ecosystem
 config, shard_id, shard_count)``, checkpointing at shard granularity is
-enough for exact resume: a completed shard's streamed records plus its
+enough for exact resume: a completed shard's records plus its
 :class:`~repro.scanner.engine.ShardResult` bookkeeping are saved under
 ``<stream_dir>/checkpoint/``, and a resumed run re-executes only the
 missing shards before merging as usual.  The merge removes the
@@ -156,15 +156,12 @@ class CheckpointStore:
         return out
 
     def save_shard(self, result) -> None:
-        """Persist one completed ShardResult (streamed runs only)."""
-        subdir = result.stream_subdir
+        """Persist one completed ShardResult."""
         payload = {
             "schema": SCHEMA,
             "shard_id": result.shard_id,
             "shard_count": result.shard_count,
-            "stream_subdir": (
-                os.path.relpath(subdir, self.stream_dir) if subdir else None
-            ),
+            "stream_subdir": os.path.relpath(result.stream_subdir, self.stream_dir),
             "meta": result.meta,
             "stats": asdict(result.stats),
             "metrics": result.metrics,
@@ -185,26 +182,14 @@ class CheckpointStore:
             path = os.path.join(self.directory, f"shard-{shard_id:02d}.json")
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            meta = payload["meta"]
-            if "day0_list" in meta:
-                meta["day0_list"] = [tuple(item) for item in meta["day0_list"]]
-            if "list_sizes" in meta:
-                meta["list_sizes"] = {
-                    key: tuple(value) for key, value in meta["list_sizes"].items()
-                }
-            if "as_names" in meta:
-                meta["as_names"] = {
-                    int(key): value for key, value in meta["as_names"].items()
-                }
-            subdir = payload.get("stream_subdir")
             results[shard_id] = ShardResult(
                 shard_id=payload["shard_id"],
                 shard_count=payload["shard_count"],
-                channels=None,
-                stream_subdir=(
-                    os.path.join(self.stream_dir, subdir) if subdir else None
-                ),
-                meta=meta,
+                stream_subdir=os.path.join(self.stream_dir, payload["stream_subdir"]),
+                # Only ever re-serialized into the merged meta.json, so
+                # the JSON forms (lists, string AS numbers) need no
+                # conversion back.
+                meta=payload["meta"],
                 stats=StudyStats(**payload["stats"]),
                 metrics=payload["metrics"],
                 day_seconds=payload["day_seconds"],
@@ -226,14 +211,26 @@ class CheckpointStore:
         merged ``meta.json`` must be byte-identical whether its shards
         came from checkpoints or live runs.  (Fingerprint comparison is
         dict equality, so ordering never affects validation.)
+
+        The bytes equal ``json.dump(payload, fh)``, but each top-level
+        value, and each element of ``events`` (the shard's whole event
+        log, MBs under chaos), goes through the C encoder on its own:
+        fast, and the log is never one string in memory.
         """
         path = os.path.join(self.directory, name)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            # Streamed on purpose: a shard checkpoint carries the shard's
-            # whole event log (MBs under chaos), which one-shot json.dumps
-            # would hold in memory at once.
-            json.dump(payload, fh)
+            fh.write("{")
+            for index, (key, value) in enumerate(payload.items()):
+                fh.write(f"{', ' if index else ''}{json.dumps(key)}: ")
+                if key == "events":
+                    fh.write("[")
+                    for position, event in enumerate(value):
+                        fh.write(f"{', ' if position else ''}{json.dumps(event)}")
+                    fh.write("]")
+                else:
+                    fh.write(json.dumps(value))
+            fh.write("}")
         os.replace(tmp, path)
 
 

@@ -1,30 +1,14 @@
-"""Scan-record storage: streaming writers, lazy views, and a queryable index.
+"""Scan-record storage: streaming writers and lazy views.
 
 The paper reused Censys data "instead of running redundant scans" and
 published its own data on scans.io.  This module provides the local
-equivalent, in two halves:
-
-* **Streaming storage** — :class:`JsonlWriter` appends records to disk
-  as they are produced (the scan engine's spill path, so a
-  million-domain study never holds its observations in memory), and
-  :class:`LazyRecordView` is a re-iterable, sequence-like view over a
-  written JSONL file that analyses can consume without materializing
-  it.  A dataset directory is just one JSONL file per channel in
-  :data:`repro.scanner.records.CHANNELS` plus a ``meta.json``.
-
-* **Query index** — :class:`ScanIndex`, an indexed, queryable store
-  over :class:`ScanObservation` records so analyses (and downstream
-  users) can slice a study corpus by domain, day, IP, cipher family,
-  or STEK identifier without re-reading JSONL files or rescanning.
-
-The index is deliberately simple — in-memory dicts over immutable
-records — because study corpora are hundreds of thousands of rows, not
-billions.  Queries compose as keyword filters::
-
-    index = ScanIndex(dataset.ticket_daily)
-    index.query(domain="yahoo.com")
-    index.query(day=5, kex_kind="ecdhe", success=True)
-    index.query(stek_id="ab…")            # who shared this key?
+equivalent: :class:`JsonlWriter` appends records to disk as they are
+produced (the scan engine's only write path, so a million-domain study
+never holds its observations in memory), and :class:`LazyRecordView`
+is a re-iterable, sequence-like view over a written JSONL file that
+analyses can consume without materializing it.  A dataset directory is
+just one JSONL file per channel in
+:data:`repro.scanner.records.CHANNELS` plus a ``meta.json``.
 """
 
 from __future__ import annotations
@@ -32,23 +16,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from collections import defaultdict
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-from .records import CHANNELS, ScanObservation, read_jsonl
-
-_INDEXED_FIELDS = ("domain", "day", "ip", "kex_kind", "stek_id", "cipher")
+from .records import CHANNELS, read_jsonl
 
 #: Most lines :meth:`JsonlWriter.append_many` joins into one ``write``;
 #: bounds the joined string when a whole channel is saved at once.
 _WRITE_CHUNK = 4096
-
-
-# ---------------------------------------------------------------------------
-# Streaming append writers + lazy views (the study's spill path)
-# ---------------------------------------------------------------------------
 
 
 class JsonlWriter:
@@ -101,14 +76,16 @@ class LazyRecordView:
     row count (computed on first ``len``).  Supports the small slice of
     the list protocol the analysis layer actually uses — iteration,
     ``len``, truthiness, indexing/slicing, and equality against any
-    sequence — so a streamed dataset is a drop-in replacement for an
-    in-memory one.
+    sequence — so analyses take it wherever they take a list.
     """
 
     def __init__(self, path: str, record_cls: type) -> None:
         self.path = path
         self.record_cls = record_cls
         self._count: Optional[int] = None
+        #: Kept alive as long as the view: the dataset that owns a
+        #: temporary directory, so the directory outlives every view.
+        self.owner = None
 
     def __iter__(self) -> Iterator:
         if not os.path.exists(self.path):
@@ -210,123 +187,7 @@ def read_meta(directory: str) -> dict:
         return json.load(fh)
 
 
-# ---------------------------------------------------------------------------
-# Queryable in-memory index (the Censys analogue)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IndexStats:
-    """Summary of an index's contents."""
-
-    observations: int
-    domains: int
-    days: int
-    success_rate: float
-
-
-class ScanIndex:
-    """In-memory inverted index over scan observations."""
-
-    def __init__(self, observations: Iterable[ScanObservation] = ()) -> None:
-        self._rows: list[ScanObservation] = []
-        self._by: dict[str, dict[object, list[int]]] = {
-            name: defaultdict(list) for name in _INDEXED_FIELDS
-        }
-        self.add_many(observations)
-
-    # -- ingestion -------------------------------------------------------
-
-    def add(self, observation: ScanObservation) -> None:
-        row_id = len(self._rows)
-        self._rows.append(observation)
-        for name in _INDEXED_FIELDS:
-            value = getattr(observation, name)
-            if value is not None and value != "":
-                self._by[name][value].append(row_id)
-
-    def add_many(self, observations: Iterable[ScanObservation]) -> int:
-        count = 0
-        for observation in observations:
-            self.add(observation)
-            count += 1
-        return count
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    # -- queries ----------------------------------------------------------
-
-    def query(self, success: Optional[bool] = None, **filters) -> list[ScanObservation]:
-        """Filter by any indexed field plus the ``success`` flag.
-
-        Unknown filter names raise ``ValueError`` (catching typos beats
-        silently returning everything).
-        """
-        unknown = set(filters) - set(_INDEXED_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown filter fields: {sorted(unknown)}")
-        candidate_ids: Optional[set[int]] = None
-        for name, value in filters.items():
-            ids = set(self._by[name].get(value, ()))
-            candidate_ids = ids if candidate_ids is None else candidate_ids & ids
-            if not candidate_ids:
-                return []
-        if candidate_ids is None:
-            rows: Iterable[ScanObservation] = self._rows
-        else:
-            rows = (self._rows[i] for i in sorted(candidate_ids))
-        if success is None:
-            return list(rows)
-        return [row for row in rows if row.success == success]
-
-    def domains(self) -> list[str]:
-        return sorted(self._by["domain"])
-
-    def days(self) -> list[int]:
-        return sorted(self._by["day"])
-
-    def domains_with_stek(self, stek_id: str) -> set[str]:
-        """Every domain that ever presented this STEK identifier —
-        the §5.2 sharing question as a single lookup."""
-        return {self._rows[i].domain for i in self._by["stek_id"].get(stek_id, ())}
-
-    def stek_ids_for(self, domain: str) -> list[str]:
-        """A domain's STEK identifiers in first-seen order."""
-        seen: list[str] = []
-        for row_id in self._by["domain"].get(domain, ()):
-            stek_id = self._rows[row_id].stek_id
-            if stek_id and stek_id not in seen:
-                seen.append(stek_id)
-        return seen
-
-    def timeline(self, domain: str) -> list[tuple[int, Optional[str]]]:
-        """(day, stek_id) pairs for a domain, day-ordered — the raw
-        material of the §4.3 span estimator."""
-        entries = [
-            (self._rows[i].day, self._rows[i].stek_id)
-            for i in self._by["domain"].get(domain, ())
-            if self._rows[i].success
-        ]
-        entries.sort(key=lambda pair: pair[0])
-        return entries
-
-    def stats(self) -> IndexStats:
-        ok = sum(1 for row in self._rows if row.success)
-        return IndexStats(
-            observations=len(self._rows),
-            domains=len(self._by["domain"]),
-            days=len(self._by["day"]),
-            success_rate=ok / len(self._rows) if self._rows else 0.0,
-        )
-
-    def __iter__(self) -> Iterator[ScanObservation]:
-        return iter(self._rows)
-
-
 __all__ = [
-    "ScanIndex",
-    "IndexStats",
     "JsonlWriter",
     "LazyRecordView",
     "channel_path",

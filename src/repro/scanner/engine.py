@@ -6,8 +6,9 @@ simulated study timeline.  The population is partitioned into
 :func:`repro.scanner.experiments.shard_of`); each shard runs the full
 timeline against its *own* ecosystem view with its own
 :class:`DeterministicRandom` fork keyed by ``(seed, shard_id)``, scans
-only the domains it owns, and either accumulates records in memory or
-streams them straight to JSONL (``stream_dir``).
+only the domains it owns, and streams its records straight to JSONL
+under the study's stream directory (``stream_dir``, or a private
+temporary directory the returned dataset owns).
 
 The merge step concatenates per-shard record streams in shard order,
 so the merged output is **bit-for-bit identical** regardless of
@@ -34,7 +35,9 @@ from __future__ import annotations
 import functools
 import os
 import shutil
+import tempfile
 import time
+import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -60,12 +63,7 @@ from ..obs.profiling import (
 )
 from ..obs.report import render_prometheus
 from .checkpoint import CheckpointMismatch, CheckpointStore, checkpoint_fingerprint
-from .datastore import (
-    concatenate_channels,
-    open_channel_views,
-    open_channel_writers,
-    write_meta,
-)
+from .datastore import concatenate_channels, open_channel_writers, write_meta
 from .experiments import ExperimentRegistry, StudyContext, default_registry
 from .grab import ZGrabber
 from .records import CHANNELS
@@ -76,8 +74,9 @@ ShardProgress = Callable[[int, int, int, int], None]
 class StudyAborted(RuntimeError):
     """A study stopped before the merge (shard failure or kill switch).
 
-    ``checkpoint_dir`` (when the run streamed to disk) points at the
-    partial checkpoint so the caller can surface ``--resume``.
+    ``checkpoint_dir`` (unless the run streamed to a private temporary
+    directory) points at the partial checkpoint so the caller can
+    surface ``--resume``.
     """
 
     def __init__(
@@ -147,8 +146,7 @@ class ShardResult:
 
     shard_id: int
     shard_count: int
-    channels: Optional[dict[str, list]]    # None when streamed to disk
-    stream_subdir: Optional[str]
+    stream_subdir: str
     meta: dict
     stats: StudyStats
     #: Metrics delta for *this shard's* activity only (see
@@ -165,25 +163,6 @@ class ShardResult:
     #: Profiling snapshot (phase timers, slowest grabs, pstats dump
     #: name) — empty unless the study ran with a profile_dir.
     profile: dict = field(default_factory=dict)
-
-
-class _MemorySink:
-    """Accumulates records per channel in plain lists."""
-
-    def __init__(self) -> None:
-        self.channels: dict[str, list] = {name: [] for name in CHANNELS}
-
-    def emit(self, channel: str, records) -> int:
-        bucket = self.channels[channel]
-        before = len(bucket)
-        bucket.extend(records)
-        return len(bucket) - before
-
-    def counts(self) -> dict[str, int]:
-        return {name: len(rows) for name, rows in self.channels.items()}
-
-    def close(self) -> None:
-        pass
 
 
 class _StreamingSink:
@@ -207,8 +186,8 @@ class _StreamingSink:
 def run_shard(
     ecosystem: Ecosystem,
     config,
-    shard_id: int = 0,
-    stream_dir: Optional[str] = None,
+    shard_id: int,
+    stream_dir: str,
     registry: Optional[ExperimentRegistry] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     live_push: Optional[Callable[[int, int, int, dict], None]] = None,
@@ -218,7 +197,8 @@ def run_shard(
     """Run every registered experiment over shard ``shard_id`` of
     ``config.shards``.
 
-    This is the whole study when ``config.shards == 1``.  The caller
+    This is the whole study when ``config.shards == 1``.  Records stream
+    to per-channel JSONL files in ``stream_dir``.  The caller
     owns ecosystem/shard pairing: ``ecosystem`` must be a fresh view for
     this shard (the engine builds one per shard when ``shards > 1``).
 
@@ -263,7 +243,7 @@ def run_shard(
         ecosystem, rng.fork("grabber"), retry=config.retry,
         fast=not config.oracle,
     )
-    sink = _StreamingSink(stream_dir) if stream_dir else _MemorySink()
+    sink = _StreamingSink(stream_dir)
     stats = StudyStats(days=config.days, shards=shard_count, workers=1)
 
     ctx = StudyContext(
@@ -384,7 +364,6 @@ def run_shard(
     return ShardResult(
         shard_id=shard_id,
         shard_count=shard_count,
-        channels=sink.channels if isinstance(sink, _MemorySink) else None,
         stream_subdir=stream_dir,
         meta=ctx.meta,
         stats=stats,
@@ -455,9 +434,11 @@ class StudyEngine:
 
         The config's ``shards`` partitions the population
         (output-affecting); ``workers`` only parallelizes shard
-        execution.  ``stream_dir`` switches the storage layer to
-        streaming JSONL: records spill to disk as produced and the
-        returned dataset holds lazy views.
+        execution.  Records stream to JSONL as they are produced, into
+        ``stream_dir`` or, when it is None, into a private temporary
+        directory that the returned dataset owns and that is removed
+        when the dataset is garbage collected; the dataset holds lazy
+        views over that directory.
         ``shard_progress(shard_id, shards, day, days)`` fires before each
         study day of a shard run in this process, and with
         ``day == days`` when any shard completes.
@@ -466,7 +447,7 @@ class StudyEngine:
         after the merge.  Telemetry never touches the dataset: pass a
         directory *outside* ``stream_dir``.
 
-        Streamed runs checkpoint each completed shard under
+        Each completed shard is checkpointed under
         ``<stream_dir>/checkpoint/`` (see :mod:`.checkpoint`);
         ``resume=True`` re-executes only the shards the checkpoint is
         missing, after verifying the stored configuration fingerprint.
@@ -475,7 +456,8 @@ class StudyEngine:
         uninterrupted one, and the merge removes the checkpoint so the
         finished directory carries no trace of the interruption.  On a
         shard failure the engine raises :class:`StudyAborted` carrying
-        the checkpoint path; ``fail_fast`` stops dispatching new shards
+        the checkpoint path (None for a private directory, which is
+        removed); ``fail_fast`` stops dispatching new shards
         immediately instead of letting siblings finish and checkpoint.
 
         ``live`` accepts a :class:`repro.obs.exporter.LivePlane` (or
@@ -490,55 +472,68 @@ class StudyEngine:
         """
         run_start = time.perf_counter()
         config = self.config
-        stream_dir = config.stream_dir
-        if telemetry_dir is not None and stream_dir is not None and (
-            os.path.abspath(telemetry_dir) == os.path.abspath(stream_dir)
+        if telemetry_dir is not None and config.stream_dir is not None and (
+            os.path.abspath(telemetry_dir) == os.path.abspath(config.stream_dir)
         ):
             raise ValueError(
                 "telemetry_dir must not be the dataset stream_dir "
                 "(telemetry lives next to the dataset, not inside it)"
             )
-
-        store = CheckpointStore(stream_dir) if stream_dir is not None else None
-        fingerprint = checkpoint_fingerprint(
-            config, getattr(ecosystem, "config", None)
+        private = config.stream_dir is None
+        stream_dir = (
+            tempfile.mkdtemp(prefix="repro-study-") if private
+            else config.stream_dir
         )
-        completed: dict[int, ShardResult] = {}
-        if resume:
-            if store is None:
-                raise ValueError(
-                    "resume requires a stream_dir: checkpoints live under "
-                    "<stream_dir>/checkpoint/"
-                )
-            if not store.exists():
-                raise CheckpointMismatch(
-                    f"no checkpoint under {store.directory}; nothing to resume"
-                )
-            store.validate(fingerprint)
-            completed = store.load_completed()
-        elif store is not None:
-            store.reset(fingerprint)
-        todo = [
-            shard_id for shard_id in range(config.shards)
-            if shard_id not in completed
-        ]
-
-        if live is not None:
-            live.study_started(
-                shards=config.shards, days=config.days, workers=config.workers,
-                resumed=bool(completed),
+        store = CheckpointStore(stream_dir)
+        try:
+            completed: dict[int, ShardResult] = {}
+            fingerprint = checkpoint_fingerprint(
+                config, getattr(ecosystem, "config", None)
             )
-            for shard_id in sorted(completed):
-                live.record_shard(completed[shard_id], restored=True)
-        events = live is not None and live.events_enabled
+            if resume:
+                if not store.exists():
+                    raise CheckpointMismatch(
+                        f"no checkpoint under {store.directory}; nothing to resume"
+                    )
+                store.validate(fingerprint)
+                completed = store.load_completed()
+            else:
+                store.reset(fingerprint)
+            todo = [
+                shard_id for shard_id in range(config.shards)
+                if shard_id not in completed
+            ]
 
-        results = list(completed.values()) + self._run_shards(
-            ecosystem, todo, store, shard_progress, fail_fast=fail_fast,
-            live=live, events=events, profile_dir=profile_dir,
-        )
-        dataset, stats = self._merge(results)
-        if store is not None:
+            if live is not None:
+                live.study_started(
+                    shards=config.shards, days=config.days,
+                    workers=config.workers, resumed=bool(completed),
+                )
+                for shard_id in sorted(completed):
+                    live.record_shard(completed[shard_id], restored=True)
+            events = live is not None and live.events_enabled
+
+            results, failures = self._run_shards(
+                ecosystem, todo, store, shard_progress, fail_fast=fail_fast,
+                live=live, events=events, profile_dir=profile_dir,
+            )
+            if failures:
+                # A private directory is removed below, so nothing in it
+                # can be resumed.
+                raise self._aborted(
+                    results, failures, None if private else store
+                ) from failures[0][1]
+            results += completed.values()
+            dataset, stats = self._merge(results, stream_dir)
             store.clear()
+        except BaseException:
+            if private:
+                shutil.rmtree(stream_dir, ignore_errors=True)
+            raise
+        if private:
+            for name in CHANNELS:
+                getattr(dataset, name).owner = dataset
+            weakref.finalize(dataset, shutil.rmtree, stream_dir, True)
         stats.elapsed_seconds = time.perf_counter() - run_start
         if profile_dir is not None:
             ordered = sorted(results, key=lambda r: r.shard_id)
@@ -557,40 +552,37 @@ class StudyEngine:
         self,
         ecosystem: Ecosystem,
         todo: list[int],
-        store: Optional[CheckpointStore],
+        store: CheckpointStore,
         shard_progress: Optional[ShardProgress],
         fail_fast: bool = False,
         live=None,
         events: bool = False,
         profile_dir: Optional[str] = None,
-    ) -> list[ShardResult]:
+    ) -> tuple[list[ShardResult], list[tuple[int, BaseException]]]:
         """Execute the shards in ``todo``, checkpointing each completed
-        shard as it lands.  The shards run one after another in this
-        process unless two or more can run at once (``workers`` and
-        ``todo`` both above one), which takes a process pool.  Raises
-        :class:`StudyAborted` if any shard fails; without ``fail_fast``
-        sibling shards still finish (and checkpoint) first, so a later
-        ``--resume`` only repeats the broken shard."""
+        shard as it lands; returns the results and the failures.  The
+        shards run one after another in this process unless two or more
+        can run at once (``workers`` and ``todo`` both above one), which
+        takes a process pool.  Without ``fail_fast`` sibling shards still
+        finish (and checkpoint) after a failure, so a later ``--resume``
+        only repeats the broken shard."""
         config = self.config
         shards = config.shards
         pending = METRICS.gauge("engine.pending_shards")
         pending.set(len(todo))
 
-        def subdir(shard_id: int) -> Optional[str]:
-            if config.stream_dir is None:
-                return None
-            return os.path.join(config.stream_dir, "shards", f"{shard_id:02d}")
+        def subdir(shard_id: int) -> str:
+            return os.path.join(store.stream_dir, "shards", f"{shard_id:02d}")
 
         results: list[ShardResult] = []
         failures: list[tuple[int, BaseException]] = []
 
         def record(result: ShardResult) -> None:
-            if store is not None:
-                store.save_shard(result)
+            store.save_shard(result)
             results.append(result)
             pending.set(len(todo) - len(results) - len(failures))
             if live is not None:
-                live.record_shard(result, checkpointed=store is not None)
+                live.record_shard(result, checkpointed=True)
             if shard_progress is not None:
                 shard_progress(result.shard_id, shards, config.days, config.days)
 
@@ -629,7 +621,7 @@ class StudyEngine:
                         break
                     continue
                 record(result)
-            return self._finish_shards(results, failures, store)
+            return results, failures
 
         if self.registry is not None:
             raise ValueError(
@@ -640,8 +632,6 @@ class StudyEngine:
         spool_dir: Optional[str] = None
         poller = None
         if live is not None:
-            import tempfile
-
             from ..obs.exporter import SpoolPoller
 
             spool_dir = tempfile.mkdtemp(prefix="repro-obs-spool-")
@@ -678,16 +668,16 @@ class StudyEngine:
                 poller.stop()  # final drain included
             if spool_dir is not None:
                 shutil.rmtree(spool_dir, ignore_errors=True)
-        return self._finish_shards(results, failures, store)
+        return results, failures
 
     @staticmethod
-    def _finish_shards(
+    def _aborted(
         results: list[ShardResult],
         failures: list[tuple[int, BaseException]],
         store: Optional[CheckpointStore],
-    ) -> list[ShardResult]:
-        if not failures:
-            return results
+    ) -> StudyAborted:
+        """The :class:`StudyAborted` for ``failures``; ``store`` is the
+        checkpoint a later resume can use (None when nothing is kept)."""
         failed_ids = sorted(shard_id for shard_id, _ in failures)
         causes = "; ".join(
             f"shard {shard_id}: {exc}" for shard_id, exc in failures
@@ -698,65 +688,38 @@ class StudyEngine:
             f"{checkpoint_dir}" if store is not None
             else "no stream_dir, so nothing was checkpointed"
         )
-        raise StudyAborted(
+        return StudyAborted(
             f"study aborted: {len(failed_ids)} shard(s) failed ({causes}); "
             f"{kept}",
             checkpoint_dir=checkpoint_dir,
             completed_shards=tuple(sorted(r.shard_id for r in results)),
             failed_shards=tuple(failed_ids),
-        ) from failures[0][1]
+        )
 
     # -- merge -------------------------------------------------------------
 
-    def _merge(self, results: list[ShardResult]):
-        from .study import StudyDataset
+    def _merge(self, results: list[ShardResult], stream_dir: str):
+        """Concatenate the shards' channel files into ``stream_dir`` in
+        shard order, write its ``meta.json`` and load the dataset."""
+        from .study import StudyDataset, load_dataset
 
         config = self.config
-        stream_dir = config.stream_dir
         results = sorted(results, key=lambda r: r.shard_id)
-        meta = results[0].meta  # view-independent fields agree across shards
-        merged_meta = {
-            "days": config.days,
-            "day0_list": meta["day0_list"],
-            "always_present": meta["always_present"],
-            "ranks": meta["ranks"],
-            "crossdomain_targets": meta.get("crossdomain_targets", []),
-            "domain_asn": meta.get("domain_asn", {}),
-            "domain_ip": meta.get("domain_ip", {}),
-            "as_names": meta["as_names"],
-            "list_sizes": meta.get("list_sizes", {}),
-        }
-
         stats = StudyStats(
             days=config.days, shards=config.shards, workers=config.workers
         )
         for result in results:
             stats.merge(result.stats)
 
-        dataset = StudyDataset(days=config.days)
-        dataset.day0_list = merged_meta["day0_list"]
-        dataset.always_present = merged_meta["always_present"]
-        dataset.ranks = merged_meta["ranks"]
-        dataset.crossdomain_targets = merged_meta["crossdomain_targets"]
-        dataset.domain_asn = merged_meta["domain_asn"]
-        dataset.domain_ip = merged_meta["domain_ip"]
-        dataset.as_names = merged_meta["as_names"]
-        dataset.list_sizes = merged_meta["list_sizes"]
-
-        if stream_dir is not None:
-            part_dirs = [r.stream_subdir for r in results]
-            concatenate_channels(part_dirs, stream_dir)
-            shutil.rmtree(os.path.join(stream_dir, "shards"), ignore_errors=True)
-            write_meta(stream_dir, merged_meta)
-            for name, view in open_channel_views(stream_dir).items():
-                setattr(dataset, name, view)
-        else:
-            for name in CHANNELS:
-                merged: list = []
-                for result in results:
-                    merged.extend(result.channels[name])
-                setattr(dataset, name, merged)
-        return dataset, stats
+        concatenate_channels([r.stream_subdir for r in results], stream_dir)
+        shutil.rmtree(os.path.join(stream_dir, "shards"), ignore_errors=True)
+        # View-independent fields agree across shards; the ones a study
+        # schedule skipped keep the dataset's defaults.
+        shard_meta = results[0].meta
+        meta = StudyDataset(days=config.days).meta()
+        meta.update((name, shard_meta[name]) for name in meta if name in shard_meta)
+        write_meta(stream_dir, meta)
+        return load_dataset(stream_dir), stats
 
     # -- telemetry ---------------------------------------------------------
 

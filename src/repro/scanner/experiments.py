@@ -78,8 +78,7 @@ class StudyContext:
 
     ``today`` is the full non-blacklisted ranked list for the current
     day; ``today_owned`` is the subset this shard scans.  ``emit``
-    routes records to the shard's sink (in-memory lists or streaming
-    JSONL writers); ``meta`` accumulates small view-independent
+    routes records to the shard's streaming JSONL writers; ``meta`` accumulates small view-independent
     metadata (ranks, list sizes, whois knowledge) merged from shard 0.
     """
 

@@ -17,17 +17,18 @@ module owns the configuration, the dataset container, and persistence.
 
 The result is a :class:`StudyDataset` of pure scan records — the
 analysis layer never sees the simulation's internals.  Datasets
-serialize to a directory of JSONL files (one per channel in
+live in a directory of JSONL files (one per channel in
 :data:`repro.scanner.records.CHANNELS` plus ``meta.json``) so
-expensive scans can be reused across benchmark runs; with
-``stream_dir`` set, the study *writes* that directory incrementally as
-it scans and the returned dataset holds lazy views instead of lists.
+expensive scans can be reused across benchmark runs.  Every study
+*writes* that directory incrementally as it scans — its ``stream_dir``,
+or a private temporary directory owned by the returned dataset — and
+the dataset holds lazy views over it.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Union
 
 from ..faults.plan import ImpairmentPlan
@@ -35,9 +36,8 @@ from ..faults.retry import RetryPolicy
 from ..hosting.ecosystem import Ecosystem
 from ..netsim.clock import HOUR
 from .datastore import (
-    JsonlWriter,
     LazyRecordView,
-    channel_path,
+    concatenate_channels,
     open_channel_views,
     read_meta,
     write_meta,
@@ -45,8 +45,9 @@ from .datastore import (
 from .engine import StudyEngine, StudyStats
 from .records import CHANNELS
 
-#: Dataset record fields are plain lists for in-memory studies and
-#: :class:`LazyRecordView` for streamed/loaded ones; both behave alike.
+#: Record fields are :class:`LazyRecordView` over the dataset directory
+#: in every dataset a study or :func:`load_dataset` returns; a dataset
+#: built by hand may hold plain lists.
 RecordRows = Union[list, LazyRecordView]
 
 
@@ -167,27 +168,18 @@ class StudyDataset:
     # day each support scan ran, keyed by scan label.
     list_sizes: dict[str, tuple[int, int]] = field(default_factory=dict)
 
+    #: The directory the record views read (None for a dataset built by
+    #: hand).  Not a dataclass field: where a dataset lives is not part
+    #: of its equality or of ``meta.json``.
+    directory = None
+
     def meta(self) -> dict:
-        """The JSON-serializable non-record fields (``meta.json``)."""
+        """The JSON-serializable non-record fields (``meta.json``), in
+        field order."""
         return {
-            "days": self.days,
-            "day0_list": self.day0_list,
-            "always_present": self.always_present,
-            "ranks": self.ranks,
-            "crossdomain_targets": self.crossdomain_targets,
-            "domain_asn": self.domain_asn,
-            "domain_ip": self.domain_ip,
-            "as_names": self.as_names,
-            "list_sizes": self.list_sizes,
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.name not in CHANNELS
         }
-
-
-# Kept for backwards compatibility with callers that enumerated the
-# scan-observation fields; CHANNELS is the authoritative layout now.
-_OBSERVATION_FIELDS = tuple(
-    name for name, cls in CHANNELS.items()
-    if cls.__name__ == "ScanObservation"
-)
 
 
 def run_study(
@@ -208,8 +200,11 @@ def run_study(
     ``shards > 1`` the population is partitioned deterministically and
     the passed ecosystem is used only as the template for per-shard
     views (it is left untouched); output is byte-identical for any
-    ``workers`` value.  ``resume`` continues a killed streamed run from
-    its ``stream_dir`` checkpoint (see :mod:`repro.scanner.checkpoint`);
+    ``workers`` value.  Records stream into ``stream_dir``; without one
+    they stream into a private temporary directory that the returned
+    dataset owns and that is removed once the dataset is garbage
+    collected.  ``resume`` continues a killed run from its
+    ``stream_dir`` checkpoint (see :mod:`repro.scanner.checkpoint`);
     ``fail_fast`` aborts the whole study on the first shard failure
     instead of letting sibling shards finish and checkpoint.
     """
@@ -265,47 +260,38 @@ def run_study_with_stats(
 
 
 def save_dataset(dataset: StudyDataset, directory: str) -> None:
-    """Persist a dataset as JSONL files plus a meta.json.
+    """Copy a dataset to ``directory``: each channel's JSONL bytes as the
+    study wrote them, plus ``meta.json``.
 
-    Thin wrapper over the datastore layout the streaming engine writes
-    directly: saving a stream-backed dataset to its own directory only
-    refreshes ``meta.json`` (the channel files are already in place).
+    Records are never re-serialized.  Saving a dataset to its own
+    directory only rewrites ``meta.json``.  A dataset built by hand has
+    no channel files, so only an empty one can be saved.
     """
-    os.makedirs(directory, exist_ok=True)
-    for name in CHANNELS:
-        rows = getattr(dataset, name)
-        target = channel_path(directory, name)
-        if (
-            isinstance(rows, LazyRecordView)
-            and os.path.exists(rows.path)
-            and os.path.exists(target)
-            and os.path.samefile(rows.path, target)
-        ):
-            continue
-        with JsonlWriter(target) as writer:
-            writer.append_many(rows)
+    source = dataset.directory
+    if source is None and any(getattr(dataset, name) for name in CHANNELS):
+        raise ValueError("only a dataset a study or load_dataset returned "
+                         "has record files to save")
+    if source is None or not (
+        os.path.isdir(directory) and os.path.samefile(source, directory)
+    ):
+        concatenate_channels([source] if source else [], directory)
     write_meta(directory, dataset.meta())
 
 
 def load_dataset(directory: str) -> StudyDataset:
-    """Load a dataset previously written by :func:`save_dataset`.
+    """Load the dataset a study (or :func:`save_dataset`) wrote to
+    ``directory``.
 
     Record channels come back as :class:`LazyRecordView` objects backed
     by the directory's JSONL files — nothing is materialized until an
     analysis iterates it.
     """
-    meta = read_meta(directory)
-    dataset = StudyDataset(days=meta["days"])
-    dataset.day0_list = [tuple(item) for item in meta["day0_list"]]
-    dataset.always_present = meta["always_present"]
-    dataset.ranks = meta["ranks"]
-    dataset.crossdomain_targets = meta["crossdomain_targets"]
-    dataset.domain_asn = meta["domain_asn"]
-    dataset.domain_ip = meta["domain_ip"]
-    dataset.as_names = {int(k): v for k, v in meta.get("as_names", {}).items()}
-    dataset.list_sizes = {
-        k: tuple(v) for k, v in meta.get("list_sizes", {}).items()
-    }
+    dataset = StudyDataset(**read_meta(directory))
+    # JSON round-trip: restore tuples and integer AS numbers.
+    dataset.day0_list = [tuple(item) for item in dataset.day0_list]
+    dataset.as_names = {int(k): v for k, v in dataset.as_names.items()}
+    dataset.list_sizes = {k: tuple(v) for k, v in dataset.list_sizes.items()}
+    dataset.directory = directory
     for name, view in open_channel_views(directory).items():
         setattr(dataset, name, view)
     return dataset

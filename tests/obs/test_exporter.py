@@ -4,7 +4,7 @@ The acceptance bar for the observability plane: while a study is
 running with ``--serve-metrics``, GET /metrics returns valid
 Prometheus text whose counters advance between scrapes, and
 GET /progress reports completed/total shard-days.  The scrapes are
-parsed back with :func:`repro.obs.parse_prometheus` — the same parser
+parsed back with :func:`helpers.parse_prometheus` — the same parser
 CI's smoke job uses — so "valid" means round-trippable, not merely
 200 OK.
 """
@@ -15,8 +15,9 @@ import time
 import urllib.error
 import urllib.request
 
+from helpers import parse_prometheus, to_prom_snapshot
+
 from repro.hosting import EcosystemConfig, build_ecosystem
-from repro.obs import parse_prometheus, to_prom_snapshot
 from repro.obs.exporter import LivePlane, ObservabilityServer
 from repro.scanner import StudyConfig, run_study_with_stats
 

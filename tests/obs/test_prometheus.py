@@ -7,12 +7,10 @@ headers appear once per family in deterministic order; histogram
 buckets are cumulative and end with ``+Inf``.
 """
 
+from helpers import parse_prometheus, to_prom_snapshot
+
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import (
-    parse_prometheus,
-    render_prometheus,
-    to_prom_snapshot,
-)
+from repro.obs.report import render_prometheus
 
 
 def _snapshot(**sections) -> dict:

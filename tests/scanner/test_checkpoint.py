@@ -7,8 +7,10 @@ dataset directory carries no trace of the interruption.
 """
 
 import hashlib
+import io
 import json
 import os
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -114,6 +116,31 @@ class TestConfigRoundTrip:
         assert fingerprint_digest(fingerprint) == digest
 
 
+def test_checkpoint_file_bytes_equal_one_json_dump(tmp_path):
+    """Checkpoints are encoded one top-level value (and one event) at a
+    time, into exactly the bytes ``json.dump`` of the payload writes."""
+    store = CheckpointStore(str(tmp_path))
+    os.makedirs(store.directory)
+    payload = {
+        "schema": "repro-checkpoint/1",
+        "meta": {"as_names": {15169: "Google"}, "day0_list": [(1, "a.com")]},
+        "stats": {"grabs": 3, "seconds": 0.1 + 0.2},
+        "events": [
+            {"event": "scanner.retry", "domain": "bücher.example", "ts": 1.5},
+            {"event": "shard.end", "values": [None, True, 1e-07, -0.0]},
+        ],
+        "profile": {},
+    }
+    for events in (payload["events"], []):
+        case = {**payload, "events": events}
+        store._write_json("case.json", case)
+        expected = io.StringIO()
+        json.dump(case, expected)
+        with open(os.path.join(store.directory, "case.json"),
+                  encoding="utf-8") as fh:
+            assert fh.read() == expected.getvalue()
+
+
 class TestResume:
     SHARDS = 4
 
@@ -190,7 +217,9 @@ class TestResume:
             )
 
     def test_resume_requires_stream_dir(self):
-        with pytest.raises(ValueError, match="stream_dir"):
+        """Without a stream_dir the run streams into a fresh private
+        directory, which never holds a checkpoint to resume."""
+        with pytest.raises(CheckpointMismatch, match="nothing to resume"):
             run_study(_ecosystem(), _config(shards=2), resume=True)
 
     def test_resume_under_different_config_is_refused(self, tmp_path):
@@ -287,6 +316,14 @@ class TestAbort:
         with pytest.raises(StudyAborted, match="nothing was checkpointed") as excinfo:
             self._engine(fail=True, shards=2).run(_ecosystem())
         assert excinfo.value.checkpoint_dir is None
+
+    def test_unstreamed_abort_removes_its_private_directory(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(StudyAborted):
+            self._engine(fail=True, shards=2).run(_ecosystem())
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("streamed", [True, False])
     def test_single_shard_failure_aborts(self, tmp_path, streamed):

@@ -1,11 +1,10 @@
-"""Datastore tests: streaming writers, lazy views, and the ScanIndex."""
+"""Datastore tests: streaming writers and lazy views."""
 
 import pytest
 
 from repro.scanner.datastore import (
     JsonlWriter,
     LazyRecordView,
-    ScanIndex,
     channel_path,
     concatenate_channels,
     open_channel_views,
@@ -23,97 +22,6 @@ def obs(domain, day, ip="10.0.0.1", stek=None, kex_kind=None, success=True,
         success=success, cipher=cipher if success else None,
         ticket_issued=stek is not None, stek_id=stek, kex_kind=kex_kind,
     )
-
-
-@pytest.fixture()
-def index():
-    return ScanIndex([
-        obs("a.com", 0, stek="k1", kex_kind="ecdhe"),
-        obs("a.com", 1, stek="k1", kex_kind="ecdhe"),
-        obs("a.com", 2, stek="k2", kex_kind="ecdhe"),
-        obs("b.com", 0, stek="k1", kex_kind="ecdhe", ip="10.0.0.2"),
-        obs("c.com", 0, kex_kind="dhe", ip="10.0.0.3"),
-        obs("down.com", 1, success=False, ip=""),
-    ])
-
-
-def test_len_and_stats(index):
-    assert len(index) == 6
-    stats = index.stats()
-    assert stats.observations == 6
-    assert stats.domains == 4
-    assert stats.days == 3
-    assert stats.success_rate == pytest.approx(5 / 6)
-
-
-def test_query_by_domain(index):
-    rows = index.query(domain="a.com")
-    assert len(rows) == 3
-    assert all(r.domain == "a.com" for r in rows)
-
-
-def test_query_conjunction(index):
-    rows = index.query(domain="a.com", day=2)
-    assert len(rows) == 1
-    assert rows[0].stek_id == "k2"
-
-
-def test_query_success_flag(index):
-    assert len(index.query(success=False)) == 1
-    assert len(index.query(day=1, success=True)) == 1
-
-
-def test_query_no_match(index):
-    assert index.query(domain="nope.com") == []
-    assert index.query(domain="a.com", day=9) == []
-
-
-def test_query_unknown_field_rejected(index):
-    with pytest.raises(ValueError):
-        index.query(flavor="chocolate")
-
-
-def test_query_by_kex_kind(index):
-    assert len(index.query(kex_kind="dhe")) == 1
-    assert len(index.query(kex_kind="ecdhe")) == 4
-
-
-def test_domains_with_stek(index):
-    assert index.domains_with_stek("k1") == {"a.com", "b.com"}
-    assert index.domains_with_stek("k2") == {"a.com"}
-    assert index.domains_with_stek("unknown") == set()
-
-
-def test_stek_ids_in_first_seen_order(index):
-    assert index.stek_ids_for("a.com") == ["k1", "k2"]
-    assert index.stek_ids_for("c.com") == []
-
-
-def test_timeline(index):
-    assert index.timeline("a.com") == [(0, "k1"), (1, "k1"), (2, "k2")]
-    assert index.timeline("down.com") == []  # failures excluded
-
-
-def test_domains_and_days(index):
-    assert index.domains() == ["a.com", "b.com", "c.com", "down.com"]
-    assert index.days() == [0, 1, 2]
-
-
-def test_incremental_add(index):
-    index.add(obs("new.com", 5, stek="k9"))
-    assert index.query(domain="new.com")[0].day == 5
-    assert 5 in index.days()
-
-
-def test_iteration(index):
-    assert len(list(index)) == 6
-
-
-def test_empty_index():
-    index = ScanIndex()
-    assert len(index) == 0
-    assert index.stats().success_rate == 0.0
-    assert index.query(domain="x") == []
 
 
 class TestStreamingStorage:
@@ -211,15 +119,3 @@ class TestStreamingStorage:
         write_meta(directory, {"days": 7, "ranks": {"a.com": 1}})
         assert read_meta(directory) == {"days": 7, "ranks": {"a.com": 1}}
 
-
-def test_index_against_study(small_study):
-    """Index a real study corpus and cross-check the §5.2 lookup."""
-    _, dataset = small_study
-    index = ScanIndex(dataset.ticket_daily)
-    assert len(index) == len(dataset.ticket_daily)
-    timeline = index.timeline("yahoo.com")
-    assert timeline
-    ids = {stek for _, stek in timeline if stek}
-    assert len(ids) == 1  # yahoo never rotates
-    sharing = index.domains_with_stek(next(iter(ids)))
-    assert sharing == {"yahoo.com"}

@@ -4,10 +4,20 @@ These use the shared session-scoped study dataset to stay fast.
 """
 
 import dataclasses
+import gc
+import os
 
 import pytest
 
-from repro.scanner import StudyConfig, StudyDataset, load_dataset, save_dataset
+from repro.hosting import EcosystemConfig, build_ecosystem
+from repro.scanner import (
+    CHANNELS,
+    StudyConfig,
+    StudyDataset,
+    load_dataset,
+    run_study,
+    save_dataset,
+)
 
 from conftest import SMALL_DAYS, SMALL_POPULATION
 
@@ -152,6 +162,27 @@ def test_saving_loaded_dataset_is_idempotent(small_study, tmp_path):
     again = load_dataset(str(directory))
     assert len(again.ticket_daily) == count
     assert again.ticket_daily == dataset.ticket_daily
+
+
+def test_private_stream_directory_goes_with_the_dataset():
+    """Without a stream_dir the study streams into a temporary directory
+    the dataset owns; dropping the dataset and its views removes it."""
+    ecosystem = build_ecosystem(EcosystemConfig(population=320, seed=2016))
+    dataset = run_study(ecosystem, StudyConfig(
+        days=1, run_probes=False, run_crossdomain=False,
+        run_support_scans=False,
+    ))
+    directory = dataset.directory
+    assert sorted(os.listdir(directory)) == sorted(
+        [f"{name}.jsonl" for name in CHANNELS] + ["meta.json"]
+    )
+    view = dataset.ticket_daily
+    del dataset
+    gc.collect()
+    assert len(view.materialize()) > 0  # a view keeps its dataset alive
+    del view
+    gc.collect()
+    assert not os.path.exists(directory)
 
 
 class TestStudyConfigValidation:

@@ -1,6 +1,7 @@
 """CLI tests: each subcommand end to end on tiny inputs."""
 
 import hashlib
+import os
 import shutil
 
 import pytest
@@ -256,7 +257,7 @@ def test_resume_with_empty_key_pool_exits_2(tmp_path, capsys):
     fingerprint["ecosystem"]["key_pool_size"] = 0
     CheckpointStore(stream).reset(fingerprint)
 
-    code = main(["study", "--resume", stream, "--out", str(tmp_path / "o")])
+    code = main(["study", "--resume", stream])
     assert code == 2
     err = capsys.readouterr().err
     assert "key_pool_size must be >= 1, got 0" in err
@@ -271,8 +272,7 @@ def chaos_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-chaos")
     out, telemetry = root / "data", root / "telemetry"
     code = main([
-        "study", "--days", "2", "--out", str(out),
-        "--stream-dir", str(out), "--shards", "2",
+        "study", "--days", "2", "--out", str(out), "--shards", "2",
         "--chaos", "7", "--retries", "2", "--breaker-threshold", "4",
         "--telemetry-dir", str(telemetry), "-q",
     ] + ECO_ARGS)
@@ -335,19 +335,34 @@ def test_resume_without_checkpoint_exits_2(tmp_path, capsys):
 
 
 def test_resume_refuses_conflicting_flags(tmp_path, capsys):
+    from repro.hosting import EcosystemConfig
+    from repro.scanner import CheckpointStore, StudyConfig
+    from repro.scanner.checkpoint import checkpoint_fingerprint
+
     out = str(tmp_path / "o")
     assert main(["study", "--out", out, "--resume", str(tmp_path),
                  "--chaos", "3"] + ECO_ARGS) == 2
     assert "drop --chaos" in capsys.readouterr().err
-    assert main(["study", "--out", out, "--resume", str(tmp_path),
-                 "--stream-dir", str(tmp_path / "elsewhere")] + ECO_ARGS) == 2
+    stream = str(tmp_path / "stream")
+    CheckpointStore(stream).reset(checkpoint_fingerprint(
+        StudyConfig(run_probes=False, run_crossdomain=False,
+                    run_support_scans=False, days=2),
+        EcosystemConfig(population=420, seed=3),
+    ))
+    assert main(["study", "--out", out, "--resume", stream]) == 2
     assert "would split the run" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_study_needs_out_or_resume(capsys):
+    assert main(["study", "--days", "2"] + ECO_ARGS) == 2
+    assert capsys.readouterr().err == (
+        "repro: error: study needs --out DIR (or --resume DIR)\n"
+    )
 
 
 def test_resume_continues_a_partial_run(tmp_path, capsys):
     """Seed a one-of-two-shards checkpoint, then finish it via --resume."""
-    import os
-
     from repro.hosting import EcosystemConfig, build_ecosystem
     from repro.scanner import CheckpointStore, StudyConfig
     from repro.scanner.checkpoint import checkpoint_fingerprint
@@ -367,11 +382,52 @@ def test_resume_continues_a_partial_run(tmp_path, capsys):
         stream_dir=os.path.join(stream, "shards", "00"),
     ))
 
-    out = str(tmp_path / "final")
-    assert main(["study", "--resume", stream, "--out", out, "-q"]) == 0
-    assert "dataset saved" in capsys.readouterr().out
-    assert os.path.exists(os.path.join(out, "meta.json"))
+    assert main(["study", "--resume", stream, "-q"]) == 0
+    assert f"dataset saved to {stream}" in capsys.readouterr().out
+    assert os.path.exists(os.path.join(stream, "meta.json"))
     assert not os.path.exists(os.path.join(stream, "checkpoint"))
+
+
+class _Killed(BaseException):
+    """Stands in for a kill: nothing in the study may catch it."""
+
+
+def _directory_digest(directory) -> str:
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        digest.update(name.encode())
+        with open(os.path.join(directory, name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def test_default_study_killed_after_a_checkpoint_resumes_identically(
+    tmp_path, monkeypatch
+):
+    """A plain ``repro study --out X`` streams into X: stopped right after
+    shard 0 is checkpointed, ``--resume X`` finishes it byte-identically."""
+    from repro.scanner import CheckpointStore
+
+    args = ["study", "--days", "2", "--shards", "2", "-q"] + ECO_ARGS
+    clean = str(tmp_path / "clean")
+    assert main(args + ["--out", clean]) == 0
+
+    save_shard = CheckpointStore.save_shard
+
+    def save_then_die(self, result):
+        save_shard(self, result)
+        raise _Killed
+
+    killed = str(tmp_path / "killed")
+    monkeypatch.setattr(CheckpointStore, "save_shard", save_then_die)
+    with pytest.raises(_Killed):
+        main(args + ["--out", killed])
+    monkeypatch.undo()
+    assert CheckpointStore(killed).completed_shards() == [0]
+    assert not os.path.exists(os.path.join(killed, "meta.json"))
+
+    assert main(["study", "--resume", killed, "-q"]) == 0
+    assert _directory_digest(killed) == _directory_digest(clean)
 
 
 def test_failing_single_shard_study_exits_3_with_resume_hint(
@@ -388,12 +444,12 @@ def test_failing_single_shard_study_exits_3_with_resume_hint(
     monkeypatch.setattr(DailySweepExperiment, "run_day", fail)
     stream = str(tmp_path / "stream")
     events = str(tmp_path / "events.jsonl")
-    code = main(["study", "--days", "2", "--out", stream, "--stream-dir",
-                 stream, "--events", events, "-q"] + ECO_ARGS)
+    code = main(["study", "--days", "2", "--out", stream,
+                 "--events", events, "-q"] + ECO_ARGS)
     assert code == 3
     err = capsys.readouterr().err
     assert "injected sweep failure" in err
-    assert f"resume with: repro study --resume {stream} --out {stream}" in err
+    assert f"resume with: repro study --resume {stream}\n" in err
     assert "study.abort" in [record["event"] for record in load_events(events)]
 
 
