@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,6 +35,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 
 from repro.hosting import EcosystemConfig, build_ecosystem
+from repro.obs.exporter import LivePlane
+from repro.obs.progress import render_progress
 from repro.scanner import CHANNELS, StudyConfig, load_dataset, run_study
 
 BENCH_POPULATION = int(os.environ.get("REPRO_BENCH_POPULATION", "900"))
@@ -111,22 +112,17 @@ def bench_data():
         ground_truth = json.loads(truth_path.read_text())
         return _materialized(dataset), ground_truth
 
-    started = time.time()
     ecosystem = build_ecosystem(
         EcosystemConfig(population=BENCH_POPULATION, seed=BENCH_SEED)
     )
 
-    def progress(shard_id, shards, day, days):
-        if day < days:
-            print(
-                f"\r[bench corpus] shard {shard_id + 1}/{shards}, "
-                f"day {day + 1}/{days} ({time.time() - started:.0f}s elapsed)",
-                end="", flush=True,
-            )
+    def progress(snapshot):
+        print(f"\r[bench corpus] {render_progress(snapshot)}",
+              end="", flush=True)
 
     dataset = run_study(
         ecosystem, replace(bench_study_config(), stream_dir=str(cache_dir)),
-        shard_progress=progress,
+        live=LivePlane(on_progress=progress),
     )
     print()
     ground_truth = _ground_truth(ecosystem)

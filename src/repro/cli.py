@@ -17,8 +17,8 @@ Subcommands mirror the library's workflow:
 * ``audit DIR``     — vulnerability windows + §8.2 mitigation
   counterfactuals from a saved dataset.
 * ``target DOMAIN`` — the §7.2 nation-state target analysis.
-* ``watch TARGET``  — follow a running ``--serve-metrics`` study by
-  URL (live progress/ETA line) or summarize a telemetry directory.
+* ``watch URL``     — follow a running ``--serve-metrics`` study (live
+  progress/ETA line); ``stats DIR`` reads a finished one.
 * ``events FILE``   — inspect/validate/summarize a ``repro-events/1``
   JSONL event log written by ``study --events``.
 
@@ -100,37 +100,30 @@ def _configure_logging(args) -> int:
     return verbosity
 
 
-class _ProgressReporter:
-    """Scan-progress display honoring the -v/-q verbosity.
-
-    * verbosity < 0 (-q): nothing.
-    * verbosity = 0: the historical transient ``\\r`` line on stderr.
-    * verbosity > 0 (-v): one DEBUG log line per event (CI-friendly;
-      no carriage returns).
-    """
+class _StatusLine:
+    """The stderr progress line of ``study`` and ``watch``, drawn with
+    :func:`render_progress` from each ``/progress`` snapshot: nothing
+    with -q, a transient ``\\r`` line by default, one DEBUG log line
+    per update with -v (CI-friendly; no carriage returns)."""
 
     def __init__(self, verbosity: int) -> None:
         self.verbosity = verbosity
+        self._width = 0
 
-    def _emit(self, text: str) -> None:
-        if self.verbosity < 0:
-            return
+    def __call__(self, snapshot: dict) -> None:
+        from .obs.progress import render_progress
+
+        line = render_progress(snapshot)
         if self.verbosity > 0:
-            log.debug(text.strip())
-        else:
-            print(f"\r{text}", end="", flush=True, file=sys.stderr)
-
-    def shard(self, shard_id: int, shards: int, day: int, days: int) -> None:
-        if shards == 1:
-            if day < days:
-                self._emit(f"scanning day {day + 1}/{days}")
-        elif day >= days:
-            self._emit(f"shard {shard_id + 1}/{shards} done        ")
-        else:
-            self._emit(f"shard {shard_id + 1}/{shards}: day {day + 1}/{days}")
+            log.debug(line)
+        elif self.verbosity == 0:
+            # Pad over the tail of a longer previous line.
+            print(f"\r{line:<{self._width}}", end="", flush=True,
+                  file=sys.stderr)
+            self._width = len(line)
 
     def close(self) -> None:
-        if self.verbosity == 0:
+        if self.verbosity == 0 and self._width:
             print(file=sys.stderr)
 
 
@@ -291,58 +284,51 @@ def cmd_study(args) -> int:
             chaos=chaos,
             retry=retry,
         )
-    profile_dir = None
-    if args.profile:
-        if not args.telemetry_dir:
-            print("--profile requires --telemetry-dir (the aggregated "
-                  "profile lands under <telemetry-dir>/profile/)",
-                  file=sys.stderr)
-            return 2
-        profile_dir = os.path.join(args.telemetry_dir, "profile")
+    if args.profile and not args.telemetry_dir:
+        print("--profile requires --telemetry-dir (the aggregated "
+              "profile lands under <telemetry-dir>/profile/)",
+              file=sys.stderr)
+        return 2
 
-    live = None
-    if args.serve_metrics is not None or args.events:
-        from .obs.exporter import LivePlane
+    from .obs.exporter import LivePlane
 
-        live = LivePlane(
-            serve_port=args.serve_metrics, events_path=args.events
-        ).start()
-        if live.url:
-            log.info(
-                "live observability plane at %s "
-                "(endpoints: /metrics /progress /healthz /events)", live.url,
-            )
-        if args.events:
-            log.info("streaming events to %s", args.events)
+    status = _StatusLine(args.verbosity)
+    live = LivePlane(
+        serve_port=args.serve_metrics, events_path=args.events,
+        on_progress=status,
+    ).start()
+    if live.url:
+        log.info(
+            "live observability plane at %s "
+            "(endpoints: /metrics /progress /healthz /events)", live.url,
+        )
+    if args.events:
+        log.info("streaming events to %s", args.events)
 
-    reporter = _ProgressReporter(args.verbosity)
     try:
         dataset, stats = run_study_with_stats(
             ecosystem, config,
-            shard_progress=reporter.shard,
             telemetry_dir=args.telemetry_dir,
             resume=bool(args.resume),
             fail_fast=args.fail_fast,
             live=live,
-            profile_dir=profile_dir,
+            profile=args.profile,
         )
     except StudyAborted as exc:
-        reporter.close()
-        if live is not None:
-            live.study_aborted(str(exc))
+        live.study_aborted(str(exc))
+        status.close()
         print(f"error: {exc}", file=sys.stderr)
         print(f"partial checkpoint kept at {exc.checkpoint_dir}",
               file=sys.stderr)
         print(f"resume with: repro study --resume {out}", file=sys.stderr)
         return 3
     except CheckpointMismatch as exc:
-        reporter.close()
+        status.close()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if live is not None:
-            live.stop()
-    reporter.close()
+        live.stop()
+    status.close()
     print(f"dataset saved to {out} "
           f"({len(dataset.ticket_daily):,} daily ticket observations)")
     print(stats.render())
@@ -446,22 +432,21 @@ def cmd_stats(args) -> int:
         print(render_prometheus(metrics), end="")
     else:
         print(render_stats_report(manifest, metrics))
-        from .obs.profiling import load_profile_summary, render_profile_report
-
-        summary = load_profile_summary(os.path.join(directory, "profile"))
-        if summary is not None:
-            print()
-            print(render_profile_report(summary))
     return 1 if errors else 0
 
 
-def _watch_http(args) -> int:
+def cmd_watch(args) -> int:
     """Poll a --serve-metrics study's /progress endpoint until done."""
-    import urllib.error
+    if not args.target.startswith(("http://", "https://")):
+        raise UsageError(
+            f"watch follows a running study by URL; for the finished run "
+            f"in {args.target} use `repro stats {args.target}`"
+        )
     import urllib.request
 
     from .obs.progress import render_progress
 
+    status = _StatusLine(verbosity=0)
     base = args.target.rstrip("/")
     progress_url = (
         base if base.endswith("/progress") else base + "/progress"
@@ -478,7 +463,7 @@ def _watch_http(args) -> int:
                 return 1
             # The study exited and took its endpoint with it: a normal
             # end of watch, not an error.
-            print(file=sys.stderr)
+            status.close()
             log.info("endpoint gone; the study has exited")
             return 0
         reached = True
@@ -486,48 +471,13 @@ def _watch_http(args) -> int:
         if args.once:
             print(line)
             return 0
-        print(f"\r{line}", end="", flush=True, file=sys.stderr)
+        status(snapshot)
         state = snapshot.get("state")
         if state in ("done", "aborted"):
-            print(file=sys.stderr)
+            status.close()
             print(line)
             return 0 if state == "done" else 3
         time.sleep(max(args.interval, 0.1))
-
-
-def _watch_dir(args) -> int:
-    """Summarize a telemetry directory (or a checkpointed stream dir)."""
-    from .obs import load_manifest
-    from .obs.report import render_stats_report
-
-    target = args.target
-    try:
-        manifest = load_manifest(target)
-    except (OSError, ValueError):
-        store = CheckpointStore(target)
-        if store.exists():
-            done = store.completed_shards()
-            print(f"{target}: in-flight streamed run — "
-                  f"{len(done)} shard(s) checkpointed "
-                  f"({', '.join(str(s) for s in done) or 'none'})")
-            return 0
-        print(f"{target}: neither a telemetry directory (manifest.json) "
-              "nor a checkpointed stream directory", file=sys.stderr)
-        return 1
-    # Headline only — `repro stats` renders the full report.
-    print(render_stats_report(manifest, {}).splitlines()[0])
-    run = manifest.get("run", {})
-    if run:
-        print(f"  finished: {run.get('grabs', 0):,} grabs over "
-              f"{run.get('days', '?')} days in "
-              f"{run.get('elapsed_seconds', 0.0):.2f}s")
-    return 0
-
-
-def cmd_watch(args) -> int:
-    if args.target.startswith(("http://", "https://")):
-        return _watch_http(args)
-    return _watch_dir(args)
 
 
 def cmd_events(args) -> int:
@@ -755,24 +705,24 @@ def build_parser() -> argparse.ArgumentParser:
                             "breaker trips, chaos injections; inspect with "
                             "`repro events`)")
     study.add_argument("--profile", action="store_true",
-                       help="run each shard under cProfile with phase "
-                            "timers and a slowest-grabs board, aggregated "
-                            "into <telemetry-dir>/profile/ (requires "
-                            "--telemetry-dir; surfaced by `repro stats`)")
+                       help="run each shard under cProfile (dumps in "
+                            "<telemetry-dir>/profile/) with phase timers and "
+                            "a slowest-grabs board, summarized in the run "
+                            "manifest (requires --telemetry-dir; rendered by "
+                            "`repro stats`)")
     _add_ecosystem_arguments(study, action=_StudySetting)
     study.set_defaults(func=cmd_study, given_settings=())
 
     watch = sub.add_parser(
-        "watch", help="follow a running --serve-metrics study, or "
-                      "summarize a telemetry directory"
+        "watch", help="follow a running --serve-metrics study (`repro "
+                      "stats DIR` reads a finished one)"
     )
-    watch.add_argument("target",
+    watch.add_argument("target", metavar="URL",
                        help="base URL of a running study "
-                            "(http://127.0.0.1:PORT) or a telemetry/"
-                            "stream directory")
+                            "(http://127.0.0.1:PORT)")
     watch.add_argument("--interval", type=float, default=2.0,
                        metavar="SECONDS",
-                       help="poll interval for URL targets (default 2)")
+                       help="poll interval (default 2)")
     watch.add_argument("--once", action="store_true",
                        help="print one status line and exit instead of "
                             "following until the study finishes")

@@ -4,18 +4,22 @@ Cooperating layers (see DESIGN.md §8 and §11):
 
 * :mod:`repro.obs.metrics` — process-local counters/gauges/histograms
   with deterministic cross-process snapshot merging;
-* :mod:`repro.obs.manifest` / :mod:`repro.obs.report` — run manifests
-  (provenance, timing, peak memory, cache effectiveness) and their human /
-  Prometheus renderings;
+* :mod:`repro.obs.manifest` / :mod:`repro.obs.report` — the run
+  manifest, the one record of a finished run (provenance, timing, peak
+  memory, cache effectiveness and, with ``--profile``, where the time
+  went), and its human / Prometheus renderings (``repro stats``);
 * :mod:`repro.obs.events` — the structured JSONL event log
   (``repro-events/1``) a live run streams to disk;
 * :mod:`repro.obs.progress` — shard-day progress/ETA tracking behind
-  the TTY status line and ``/progress``;
-* :mod:`repro.obs.exporter` — the live plane: in-run HTTP exposition
-  (``/metrics``, ``/progress``, ``/healthz``, ``/events``) plus the
-  cross-process snapshot-delta spool;
+  ``/progress`` and the status line drawn from it;
+* :mod:`repro.obs.exporter` — the live plane, the one observer of a
+  running study: progress (also handed to an ``on_progress``
+  callable), in-run HTTP exposition (``/metrics``, ``/progress``,
+  ``/healthz``, ``/events``) plus the cross-process snapshot-delta
+  spool;
 * :mod:`repro.obs.profiling` — opt-in phase timers, slowest-grab
-  tracking, and per-shard cProfile aggregation.
+  tracking, and per-shard cProfile aggregation into the manifest's
+  ``profile`` section.
 
 The invariant every instrument obeys: telemetry is **output-neutral**.
 Nothing in this package (or any call into it) may touch a seeded RNG
@@ -51,7 +55,7 @@ from .metrics import (
     register_process_cache,
     reset_process_caches,
 )
-from .profiling import PROFILER, Profiler, render_profile_report
+from .profiling import PROFILER, Profiler
 from .progress import ProgressTracker, render_progress
 from .report import render_prometheus, render_stats_report
 
@@ -67,7 +71,6 @@ __all__ = [
     "SpoolPoller",
     "PROFILER",
     "Profiler",
-    "render_profile_report",
     "ProgressTracker",
     "render_progress",
     "METRICS",

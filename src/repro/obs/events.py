@@ -91,12 +91,6 @@ class EventLog:
 EVENTS = EventLog()
 
 
-def emit(event: str, level: str = "info", **fields) -> None:
-    """Module-level shorthand for ``EVENTS.emit(...)``."""
-    if EVENTS.enabled:
-        EVENTS.emit(event, level=level, **fields)
-
-
 class EventWriter:
     """Appends events to a JSONL file, assigning the global ``seq``.
 
@@ -296,7 +290,6 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "EventLog",
     "EVENTS",
-    "emit",
     "EventWriter",
     "OrderedShardWriter",
     "load_events",

@@ -8,10 +8,12 @@ the study exits.  This module makes the same registry data visible
   daemon thread serving ``/metrics`` (Prometheus text),
   ``/progress`` (JSON), ``/healthz``, and ``/events`` (recent ring).
 
-* :class:`LivePlane` — the bundle the engine talks to: a
-  :class:`~repro.obs.progress.ProgressTracker`, a merged live metrics
-  snapshot fed by per-day ``snapshot_delta`` pushes, the structured
-  event log writer, and (optionally) the HTTP server on top.
+* :class:`LivePlane` — the one observer of a running study, the bundle
+  the engine talks to: a :class:`~repro.obs.progress.ProgressTracker`
+  (whose snapshots also go to an optional ``on_progress`` callable,
+  the CLI's stderr status line), a merged live metrics snapshot fed by
+  per-day ``snapshot_delta`` pushes, the structured event log writer,
+  and (optionally) the HTTP server on top.
 
 * :class:`SpoolPush` / :class:`SpoolPoller` — the cross-process push
   protocol.  Pool workers can't call into the parent's plane, so each
@@ -23,8 +25,9 @@ the study exits.  This module makes the same registry data visible
 
 Threading model: HTTP handler threads only *read*, through three
 supplier callables that take the plane's lock, copy, and release; the
-engine (or the poller thread) is the only writer.  Nothing here runs
-unless the caller builds a plane — the default study path pays zero.
+engine (or the poller thread) is the only writer.  ``repro study``
+always builds a plane (it binds a port or opens an event file only when
+asked to); a library study without ``live`` builds none and pays zero.
 """
 
 from __future__ import annotations
@@ -145,9 +148,11 @@ class LivePlane:
     """Everything a running study exposes, bundled for the engine.
 
     Construction is cheap and side-effect free; :meth:`start` opens
-    the event file and binds the HTTP port.  The caller (CLI or test)
-    owns the lifecycle — the engine only feeds hooks, all of which are
-    no-ops for the parts that weren't requested.
+    the event file and binds the HTTP port, when asked for.  The caller
+    (CLI or test) owns the lifecycle — the engine only feeds hooks, all
+    of which are no-ops for the parts that weren't requested.
+    ``on_progress`` receives the ``/progress`` snapshot after every
+    progress update (study start, shard-day, shard, finish, abort).
     """
 
     def __init__(
@@ -155,11 +160,14 @@ class LivePlane:
         serve_port: Optional[int] = None,
         events_path: Optional[str] = None,
         host: str = "127.0.0.1",
+        on_progress: Optional[Callable[[dict], None]] = None,
     ) -> None:
         self.serve_port = serve_port
         self.events_path = events_path
         self.host = host
+        self.on_progress = on_progress
         self.progress = ProgressTracker()
+        self._progress_lock = threading.Lock()
         self.server: Optional[ObservabilityServer] = None
         self._writer: Optional[EventWriter] = None
         self._ordered: Optional[OrderedShardWriter] = None
@@ -211,12 +219,23 @@ class LivePlane:
             record = self._writer.write(record)
         self._recent.append(record)
 
+    def _track(self, update: Callable, *args, **kwargs) -> None:
+        """Apply one tracker update and hand the fresh snapshot to
+        ``on_progress``.  The spool poller thread and the engine's
+        thread both update the tracker; holding the lock across update,
+        snapshot and callback keeps their status lines from
+        interleaving and delivers snapshots in update order."""
+        with self._progress_lock:
+            update(*args, **kwargs)
+            if self.on_progress is not None:
+                self.on_progress(self.progress.snapshot())
+
     # -- engine hooks ------------------------------------------------------
 
     def study_started(
         self, shards: int, days: int, workers: int, resumed: bool = False
     ) -> None:
-        self.progress.begin(shards, days)
+        self._track(self.progress.begin, shards, days)
         self._write_now(
             "study.start", shards=shards, days=days,
             workers=workers, resumed=resumed,
@@ -226,7 +245,7 @@ class LivePlane:
         self, shard_id: int, day: int, days: int, grabs: int, delta: dict
     ) -> None:
         """One shard finished one study day (direct call or spool)."""
-        self.progress.day_completed(shard_id, day, days, grabs)
+        self._track(self.progress.day_completed, shard_id, day, days, grabs)
         if delta:
             with self._lock:
                 self._live = merge_snapshots([self._live, delta])
@@ -235,9 +254,9 @@ class LivePlane:
         self, result, checkpointed: bool = False, restored: bool = False
     ) -> None:
         """A shard finished (or was restored from its checkpoint)."""
-        self.progress.shard_completed(
-            result.shard_id, getattr(result.stats, "days", None),
-            restored=restored,
+        self._track(
+            self.progress.shard_completed, result.shard_id,
+            getattr(result.stats, "days", None), restored=restored,
         )
         batch = list(getattr(result, "events", []) or [])
         if restored:
@@ -272,13 +291,13 @@ class LivePlane:
             grabs=getattr(stats, "grabs", 0),
             elapsed_s=round(getattr(stats, "elapsed_seconds", 0.0), 3),
         )
-        self.progress.finish()
+        self._track(self.progress.finish)
 
     def study_aborted(self, message: str) -> None:
         if self._ordered is not None:
             self._ordered.flush_all()
         self._write_now("study.abort", level="error", message=str(message))
-        self.progress.finish(aborted=True)
+        self._track(self.progress.finish, aborted=True)
 
     # -- suppliers (read side) ---------------------------------------------
 

@@ -13,13 +13,17 @@ directory records
   scan counts, per-channel record counts;
 * what the hot paths did — crypto cache hit/miss rates, handshake and
   resumption counters (the merged metrics snapshot lives in a sibling
-  ``metrics.json``; the manifest embeds only the headline summaries).
+  ``metrics.json``; the manifest embeds only the headline summaries);
+* where a ``--profile`` run's time went — the optional ``profile``
+  section: shards profiled, phase seconds and counts, the slowest
+  grabs and the hottest functions (see :mod:`repro.obs.profiling`).
 
 A telemetry directory contains::
 
     manifest.json   this record
     metrics.json    merged MetricsRegistry snapshot (shard order)
     metrics.prom    Prometheus-style text exposition of the same
+    profile/        with --profile: shard-NN.pstats dumps + profile.txt
 
 Everything here is output-neutral: manifests are written *next to*
 the dataset (never into it), draw no randomness, and never touch
@@ -113,9 +117,10 @@ def build_manifest(
     channels: Optional[dict] = None,
     caches: Optional[dict] = None,
     label: str = "study",
-    extra: Optional[dict] = None,
+    profile: Optional[dict] = None,
 ) -> dict:
-    """Assemble a manifest dict (see module docstring for the shape)."""
+    """Assemble a manifest dict (see module docstring for the shape);
+    the ``profile`` section is present only when given."""
     manifest = {
         "schema": SCHEMA,
         "label": label,
@@ -137,8 +142,8 @@ def build_manifest(
             "prometheus": PROMETHEUS_NAME,
         },
     }
-    if extra:
-        manifest.update(extra)
+    if profile is not None:
+        manifest["profile"] = profile
     return manifest
 
 
@@ -214,7 +219,38 @@ def validate_manifest(manifest: dict) -> list[str]:
             errors.append(
                 f"{len(shards)} shard entries but run.shards={run_shards}"
             )
+    if "profile" in manifest:
+        profile = manifest["profile"]
+        if not isinstance(profile, dict):
+            errors.append("'profile' is not a dict")
+        else:
+            errors.extend(
+                f"profile.{field} missing or malformed"
+                for field, ok in _PROFILE_FIELDS.items()
+                if not ok(profile.get(field))
+            )
     return errors
+
+
+#: Type checks of the optional ``profile`` section, by field.
+_PROFILE_FIELDS = {
+    "shards": lambda v: isinstance(v, int) and v >= 0,
+    "phase_seconds": lambda v: isinstance(v, dict)
+    and all(isinstance(x, (int, float)) for x in v.values()),
+    "phase_counts": lambda v: isinstance(v, dict)
+    and all(isinstance(x, int) for x in v.values()),
+    "slowest_grabs": lambda v: isinstance(v, list) and all(
+        isinstance(e, list) and len(e) == 2
+        and isinstance(e[0], (int, float)) and isinstance(e[1], str)
+        for e in v
+    ),
+    "top_functions": lambda v: isinstance(v, list) and all(
+        isinstance(e, dict) and isinstance(e.get("function"), str)
+        and isinstance(e.get("calls"), int)
+        and isinstance(e.get("cumulative_s"), (int, float))
+        for e in v
+    ),
+}
 
 
 def load_metrics(directory: str) -> dict:

@@ -13,14 +13,15 @@ flag check when disabled):
 
 * **cProfile** — each shard optionally runs under :mod:`cProfile`
   (:func:`start_shard_profile` / :func:`stop_shard_profile`) and
-  dumps ``shard-NN.pstats`` into the profile directory; the parent
-  aggregates every dump with :mod:`pstats` into ``profile.txt`` plus a
-  machine-readable ``summary.json`` that ``repro stats`` renders.
+  dumps ``shard-NN.pstats`` into ``<telemetry-dir>/profile/``; the
+  parent aggregates every dump with :mod:`pstats` into ``profile.txt``.
 
 Workers snapshot their profiler into ``ShardResult.profile`` so the
-parent can merge across processes; like metrics, the merge is done in
-shard order, though profile numbers are inherently wall-clock and are
-reported as diagnostics, never as part of the deterministic output.
+parent can merge across processes.  :func:`profile_summary` merges the
+snapshots in shard order, adds the hottest functions of the pstats
+aggregation, and returns the run manifest's ``profile`` section, which
+``repro stats`` renders.  Profile numbers are inherently wall-clock and
+are reported as diagnostics, never as part of the deterministic output.
 """
 
 from __future__ import annotations
@@ -28,14 +29,12 @@ from __future__ import annotations
 import cProfile
 import heapq
 import io
-import json
 import os
 import pstats
 import time
 from contextlib import contextmanager
 from typing import Optional
 
-SUMMARY_NAME = "summary.json"
 REPORT_NAME = "profile.txt"
 
 #: How many slowest grabs each shard keeps.
@@ -205,71 +204,27 @@ def aggregate_pstats(profile_dir: str) -> tuple[Optional[str], list[dict]]:
     return buffer.getvalue(), top
 
 
-def write_profile_summary(
-    profile_dir: str, profiles: list[dict]
-) -> dict:
-    """Write ``summary.json`` + ``profile.txt``; returns the summary."""
+def profile_summary(profile_dir: str, profiles: list[dict]) -> dict:
+    """Write ``profile.txt`` from the dumps in ``profile_dir``; returns
+    the merged summary the run manifest carries under ``profile``."""
+    os.makedirs(profile_dir, exist_ok=True)  # no shard ran on a full resume
     merged = merge_profiles(profiles)
     report, top_functions = aggregate_pstats(profile_dir)
-    summary = {
-        "schema": "repro-profile/1",
+    if report is not None:
+        with open(
+            os.path.join(profile_dir, REPORT_NAME), "w", encoding="utf-8"
+        ) as fh:
+            fh.write(report)
+    return {
         "shards": sum(1 for profile in profiles if profile),
         "phase_seconds": merged["phase_seconds"],
         "phase_counts": merged["phase_counts"],
         "slowest_grabs": merged["slowest"],
         "top_functions": top_functions,
     }
-    os.makedirs(profile_dir, exist_ok=True)
-    tmp = os.path.join(profile_dir, SUMMARY_NAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(profile_dir, SUMMARY_NAME))
-    if report is not None:
-        with open(
-            os.path.join(profile_dir, REPORT_NAME), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(report)
-    return summary
-
-
-def load_profile_summary(profile_dir: str) -> Optional[dict]:
-    path = os.path.join(profile_dir, SUMMARY_NAME)
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def render_profile_report(summary: dict) -> str:
-    """The ``repro stats`` profiling section."""
-    lines = [f"profiling ({summary.get('shards', 0)} shard(s) profiled)"]
-    phases = summary.get("phase_seconds", {})
-    if phases:
-        lines.append("  time by phase:")
-        counts = summary.get("phase_counts", {})
-        width = max(len(name) for name in phases)
-        for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
-            note = f"  ({counts[name]:,}x)" if name in counts else ""
-            lines.append(f"    {name:<{width}}  {seconds:>10.3f}s{note}")
-    slowest = summary.get("slowest_grabs", [])
-    if slowest:
-        lines.append(f"  slowest grabs (top {len(slowest)}):")
-        for seconds, domain in slowest[:10]:
-            lines.append(f"    {seconds * 1000:>9.3f} ms  {domain}")
-    top = summary.get("top_functions", [])
-    if top:
-        lines.append("  hottest functions (cumulative):")
-        for entry in top[:10]:
-            lines.append(
-                f"    {entry['cumulative_s']:>10.3f}s  "
-                f"{entry['calls']:>10,}x  {entry['function']}"
-            )
-    return "\n".join(lines)
 
 
 __all__ = [
-    "SUMMARY_NAME",
     "REPORT_NAME",
     "SLOWEST_N",
     "TOP_FUNCTIONS",
@@ -278,7 +233,5 @@ __all__ = [
     "pstats_path",
     "merge_profiles",
     "aggregate_pstats",
-    "write_profile_summary",
-    "load_profile_summary",
-    "render_profile_report",
+    "profile_summary",
 ]

@@ -8,10 +8,11 @@ skip straight to ``day D``), derives a completion fraction, and
 extrapolates an ETA from the observed rate.
 
 The tracker is the single source of truth behind both renderings: the
-TTY status line (:func:`render_progress`) and the ``/progress`` JSON
-endpoint (:meth:`ProgressTracker.snapshot`).  It is thread-safe —
-the exporter's HTTP threads read snapshots while the engine's
-callbacks write.
+``/progress`` JSON endpoint (:meth:`ProgressTracker.snapshot`) and the
+status line :func:`render_progress` draws from such a snapshot (the
+``repro study`` stderr line and ``repro watch URL``).  It is
+thread-safe — the exporter's HTTP threads read snapshots while the
+engine's callbacks write.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ import time
 from typing import Optional
 
 SCHEMA = "repro-progress/1"
-
-#: Lifecycle states a snapshot can report.
-STATES = ("idle", "running", "done", "aborted")
 
 
 class ProgressTracker:
@@ -173,7 +171,6 @@ def render_progress(snapshot: dict) -> str:
 
 __all__ = [
     "SCHEMA",
-    "STATES",
     "ProgressTracker",
     "format_duration",
     "render_progress",

@@ -2,9 +2,10 @@
 text-format exposition.
 
 ``repro stats <telemetry-dir>`` feeds a manifest (+ the sibling
-metrics snapshot) through :func:`render_stats_report`; automation
-scrapes :func:`render_prometheus` output (written to ``metrics.prom``
-at study time and served live on ``/metrics`` by
+metrics snapshot) through :func:`render_stats_report`, which also
+renders the manifest's ``profile`` section of a ``--profile`` run;
+automation scrapes :func:`render_prometheus` output (written to
+``metrics.prom`` at study time and served live on ``/metrics`` by
 :mod:`repro.obs.exporter`) — the standard ``# HELP`` / ``# TYPE`` /
 sample line format, with dotted metric names flattened to underscores
 under a ``repro_`` prefix, label values escaped per the exposition
@@ -220,6 +221,34 @@ def _resilience_sections(metrics: dict) -> list[str]:
     return lines
 
 
+def _profile_section(profile: dict) -> list[str]:
+    """The manifest's ``profile`` section: phase table, slowest grabs,
+    hottest functions."""
+    lines = ["", f"profiling ({profile.get('shards', 0)} shard(s) profiled)"]
+    phases = profile.get("phase_seconds", {})
+    if phases:
+        lines.append("  time by phase:")
+        counts = profile.get("phase_counts", {})
+        width = max(len(name) for name in phases)
+        for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
+            note = f"  ({counts[name]:,}x)" if name in counts else ""
+            lines.append(f"    {name:<{width}}  {seconds:>10.3f}s{note}")
+    slowest = profile.get("slowest_grabs", [])
+    if slowest:
+        lines.append(f"  slowest grabs (top {len(slowest)}):")
+        for seconds, domain in slowest[:10]:
+            lines.append(f"    {seconds * 1000:>9.3f} ms  {domain}")
+    top = profile.get("top_functions", [])
+    if top:
+        lines.append("  hottest functions (cumulative):")
+        for entry in top[:10]:
+            lines.append(
+                f"    {entry['cumulative_s']:>10.3f}s  "
+                f"{entry['calls']:>10,}x  {entry['function']}"
+            )
+    return lines
+
+
 def render_stats_report(manifest: dict, metrics: dict) -> str:
     """The ``repro stats`` human-readable view of one run."""
     lines: list[str] = []
@@ -322,6 +351,9 @@ def render_stats_report(manifest: dict, metrics: dict) -> str:
                 f"  {key:<{width}}  n={hist['count']:<9,} "
                 f"mean={mean:.4f}s p95<={p95_text}s"
             )
+
+    if manifest.get("profile"):
+        lines.extend(_profile_section(manifest["profile"]))
     return "\n".join(lines)
 
 

@@ -57,9 +57,9 @@ from ..obs.metrics import (
 )
 from ..obs.profiling import (
     PROFILER,
+    profile_summary,
     start_shard_profile,
     stop_shard_profile,
-    write_profile_summary,
 )
 from ..obs.report import render_prometheus
 from .checkpoint import CheckpointMismatch, CheckpointStore, checkpoint_fingerprint
@@ -67,8 +67,6 @@ from .datastore import concatenate_channels, open_channel_writers, write_meta
 from .experiments import ExperimentRegistry, StudyContext, default_registry
 from .grab import ZGrabber
 from .records import CHANNELS
-
-ShardProgress = Callable[[int, int, int, int], None]
 
 
 class StudyAborted(RuntimeError):
@@ -161,7 +159,7 @@ class ShardResult:
     #: repro.obs.events) — empty unless the live plane's event log is on.
     events: list = field(default_factory=list)
     #: Profiling snapshot (phase timers, slowest grabs, pstats dump
-    #: name) — empty unless the study ran with a profile_dir.
+    #: name) — empty unless the study ran with ``profile``.
     profile: dict = field(default_factory=dict)
 
 
@@ -189,7 +187,6 @@ def run_shard(
     shard_id: int,
     stream_dir: str,
     registry: Optional[ExperimentRegistry] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     live_push: Optional[Callable[[int, int, int, dict], None]] = None,
     events: bool = False,
     profile_dir: Optional[str] = None,
@@ -203,11 +200,10 @@ def run_shard(
     this shard (the engine builds one per shard when ``shards > 1``).
 
     Hooks, all diagnostics-only (never output-affecting):
-    ``progress(day, days)`` fires before each study day;
     ``live_push(day, days, day_grabs, metrics_delta)`` fires after each
     study day; ``events`` buffers structured events into the returned
-    result; ``profile_dir`` runs the shard under cProfile and fills
-    ``ShardResult.profile``.
+    result; ``profile_dir`` runs the shard under cProfile, dumps its
+    stats there and fills ``ShardResult.profile``.
     """
     registry = registry if registry is not None else default_registry(config)
     shard_count = config.shards
@@ -267,8 +263,6 @@ def run_shard(
         if ecosystem.clock.now() < day_start:
             with PROFILER.phase("ecosystem.advance"):
                 ecosystem.advance_to(day_start)
-        if progress is not None:
-            progress(day, config.days)
 
         full_list = ecosystem.alexa_list()
         ctx.full_list_size = len(full_list)
@@ -423,12 +417,11 @@ class StudyEngine:
     def run(
         self,
         ecosystem: Ecosystem,
-        shard_progress: Optional[ShardProgress] = None,
         telemetry_dir: Optional[str] = None,
         resume: bool = False,
         fail_fast: bool = False,
         live=None,
-        profile_dir: Optional[str] = None,
+        profile: bool = False,
     ):
         """Run the study; returns ``(StudyDataset, StudyStats)``.
 
@@ -439,9 +432,6 @@ class StudyEngine:
         directory that the returned dataset owns and that is removed
         when the dataset is garbage collected; the dataset holds lazy
         views over that directory.
-        ``shard_progress(shard_id, shards, day, days)`` fires before each
-        study day of a shard run in this process, and with
-        ``day == days`` when any shard completes.
         ``telemetry_dir`` writes a run manifest (with the run's peak
         RSS), merged metrics snapshot and Prometheus exposition there
         after the merge.  Telemetry never touches the dataset: pass a
@@ -461,14 +451,16 @@ class StudyEngine:
         immediately instead of letting siblings finish and checkpoint.
 
         ``live`` accepts a :class:`repro.obs.exporter.LivePlane` (or
-        anything with its hook surface): the engine feeds it study /
-        shard / day completions and metric deltas while running.  The
-        caller owns the plane's lifecycle (start/stop) — on
-        :class:`StudyAborted` the caller should invoke
-        ``live.study_aborted``.  ``profile_dir`` runs every shard under
-        cProfile and aggregates the dumps there after the merge.  Both
-        are diagnostics-only: dataset bytes are identical with them on
-        or off.
+        anything with its hook surface), the one observer of a running
+        study: the engine feeds it study / shard / day completions and
+        metric deltas while running.  The caller owns the plane's
+        lifecycle (start/stop) — on :class:`StudyAborted` the caller
+        should invoke ``live.study_aborted``.  ``profile`` runs every
+        shard under cProfile, dumps the stats under
+        ``<telemetry_dir>/profile/`` and merges the summary into the
+        manifest's ``profile`` section; it needs ``telemetry_dir``.
+        Both are diagnostics-only: dataset bytes are identical with
+        them on or off.
         """
         run_start = time.perf_counter()
         config = self.config
@@ -479,6 +471,14 @@ class StudyEngine:
                 "telemetry_dir must not be the dataset stream_dir "
                 "(telemetry lives next to the dataset, not inside it)"
             )
+        if profile and telemetry_dir is None:
+            raise ValueError(
+                "profile needs a telemetry_dir (the dumps land under "
+                "<telemetry_dir>/profile/ and the summary in its manifest)"
+            )
+        profile_dir = (
+            os.path.join(telemetry_dir, "profile") if profile else None
+        )
         private = config.stream_dir is None
         stream_dir = (
             tempfile.mkdtemp(prefix="repro-study-") if private
@@ -514,7 +514,7 @@ class StudyEngine:
             events = live is not None and live.events_enabled
 
             results, failures = self._run_shards(
-                ecosystem, todo, store, shard_progress, fail_fast=fail_fast,
+                ecosystem, todo, store, fail_fast=fail_fast,
                 live=live, events=events, profile_dir=profile_dir,
             )
             if failures:
@@ -535,15 +535,12 @@ class StudyEngine:
                 getattr(dataset, name).owner = dataset
             weakref.finalize(dataset, shutil.rmtree, stream_dir, True)
         stats.elapsed_seconds = time.perf_counter() - run_start
-        if profile_dir is not None:
-            ordered = sorted(results, key=lambda r: r.shard_id)
-            write_profile_summary(
-                profile_dir, [result.profile for result in ordered]
-            )
         if live is not None:
             live.study_finished(stats)
         if telemetry_dir is not None:
-            self._write_telemetry(telemetry_dir, ecosystem, results, stats)
+            self._write_telemetry(
+                telemetry_dir, ecosystem, results, stats, profile_dir
+            )
         return dataset, stats
 
     # -- shard execution ---------------------------------------------------
@@ -553,7 +550,6 @@ class StudyEngine:
         ecosystem: Ecosystem,
         todo: list[int],
         store: CheckpointStore,
-        shard_progress: Optional[ShardProgress],
         fail_fast: bool = False,
         live=None,
         events: bool = False,
@@ -583,8 +579,6 @@ class StudyEngine:
             pending.set(len(todo) - len(results) - len(failures))
             if live is not None:
                 live.record_shard(result, checkpointed=True)
-            if shard_progress is not None:
-                shard_progress(result.shard_id, shards, config.days, config.days)
 
         if min(config.workers, len(todo)) <= 1:
             from ..hosting import build_ecosystem
@@ -604,10 +598,6 @@ class StudyEngine:
                         shard_id=shard_id,
                         stream_dir=subdir(shard_id),
                         registry=self.registry,
-                        progress=(
-                            functools.partial(shard_progress, shard_id, shards)
-                            if shard_progress is not None else None
-                        ),
                         live_push=(
                             functools.partial(live.day_completed, shard_id)
                             if live is not None else None
@@ -753,8 +743,10 @@ class StudyEngine:
         ecosystem: Ecosystem,
         results: list[ShardResult],
         stats: StudyStats,
+        profile_dir: Optional[str] = None,
     ) -> None:
-        """Write manifest.json / metrics.json / metrics.prom."""
+        """Write manifest.json / metrics.json / metrics.prom; with a
+        ``profile_dir`` the manifest carries the merged profile too."""
         config = self.config
         ordered = sorted(results, key=lambda r: r.shard_id)
         merged = self.merged_metrics(ordered)
@@ -799,6 +791,10 @@ class StudyEngine:
                 if count
             },
             caches=caches,
+            profile=(
+                profile_summary(profile_dir, [r.profile for r in ordered])
+                if profile_dir is not None else None
+            ),
         )
         obs_manifest.write_manifest(telemetry_dir, manifest)
         obs_manifest.write_metrics(telemetry_dir, merged)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from ..faults.plan import ImpairmentPlan
 from ..faults.retry import RetryPolicy
@@ -187,11 +187,10 @@ def run_study(
     config: Optional[StudyConfig] = None,
     *,
     telemetry_dir: Optional[str] = None,
-    shard_progress: Optional[Callable[[int, int, int, int], None]] = None,
     resume: bool = False,
     fail_fast: bool = False,
     live=None,
-    profile_dir: Optional[str] = None,
+    profile: bool = False,
 ) -> StudyDataset:
     """Run the full measurement study against ``ecosystem``.
 
@@ -212,11 +211,10 @@ def run_study(
         ecosystem,
         config,
         telemetry_dir=telemetry_dir,
-        shard_progress=shard_progress,
         resume=resume,
         fail_fast=fail_fast,
         live=live,
-        profile_dir=profile_dir,
+        profile=profile,
     )
     return dataset
 
@@ -226,11 +224,10 @@ def run_study_with_stats(
     config: Optional[StudyConfig] = None,
     *,
     telemetry_dir: Optional[str] = None,
-    shard_progress: Optional[Callable[[int, int, int, int], None]] = None,
     resume: bool = False,
     fail_fast: bool = False,
     live=None,
-    profile_dir: Optional[str] = None,
+    profile: bool = False,
 ) -> tuple[StudyDataset, StudyStats]:
     """Like :func:`run_study` but also returns a :class:`StudyStats`.
 
@@ -238,19 +235,20 @@ def run_study_with_stats(
     metrics there (see :mod:`repro.obs`); it must not
     point into the dataset directory.  ``live`` feeds a running
     :class:`repro.obs.exporter.LivePlane` (progress, live metrics,
-    events) and ``profile_dir`` collects per-shard cProfile dumps —
-    both diagnostics-only, never affecting dataset bytes.
+    events) and ``profile`` adds per-shard cProfile dumps under
+    ``<telemetry_dir>/profile/`` and a ``profile`` section to the
+    manifest (it needs ``telemetry_dir``) — both diagnostics-only,
+    never affecting dataset bytes.
     """
     config = config or StudyConfig()
     engine = StudyEngine(config)
     return engine.run(
         ecosystem,
-        shard_progress=shard_progress,
         telemetry_dir=telemetry_dir,
         resume=resume,
         fail_fast=fail_fast,
         live=live,
-        profile_dir=profile_dir,
+        profile=profile,
     )
 
 

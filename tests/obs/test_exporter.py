@@ -146,3 +146,62 @@ class TestMidStudyScrape:
             raise AssertionError("server still reachable after stop()")
         except (urllib.error.URLError, ConnectionError, OSError):
             pass
+
+
+class TestOnProgress:
+    """``LivePlane(on_progress=...)``: the one progress feed of a study."""
+
+    def test_pooled_study_reports_every_shard_day(self):
+        config = StudyConfig(
+            days=2,
+            seed=404,
+            run_probes=False,
+            run_crossdomain=False,
+            run_support_scans=False,
+            shards=2,
+            workers=2,
+        )
+        ecosystem = build_ecosystem(
+            EcosystemConfig(population=SMALL_POPULATION, seed=BENCH_SEED)
+        )
+        snapshots = []
+        run_study_with_stats(
+            ecosystem, config, live=LivePlane(on_progress=snapshots.append)
+        )
+        # Start, one per shard-day (spooled from the pool workers), one
+        # per checkpointed shard, finish.
+        assert len(snapshots) == 1 + 2 * 2 + 2 + 1
+        completed = [s["day_units"]["completed"] for s in snapshots]
+        assert completed == sorted(completed)
+        assert snapshots[0]["state"] == "running" and completed[0] == 0
+        last = snapshots[-1]
+        assert last["state"] == "done"
+        assert last["day_units"] == {"completed": 4, "total": 4}
+        assert last["shards"] == {"completed": 2, "total": 2}
+
+    def test_updates_from_two_threads_never_interleave(self):
+        inside, overlaps, seen = [], [], []
+
+        def slow(snapshot):
+            if inside:
+                overlaps.append(snapshot)
+            inside.append(snapshot)
+            time.sleep(0.0005)
+            seen.append(snapshot["day_units"]["completed"])
+            inside.pop()
+
+        plane = LivePlane(on_progress=slow)
+        plane.study_started(shards=2, days=40, workers=2)
+        threads = [
+            threading.Thread(target=lambda shard=shard: [
+                plane.day_completed(shard, day, 40, 1, {})
+                for day in range(40)
+            ])
+            for shard in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not overlaps
+        assert seen == list(range(81))

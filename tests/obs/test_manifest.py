@@ -82,6 +82,36 @@ class TestValidate:
         manifest = build_manifest(run=run, shards=[{"shard_id": 0}])
         assert any("run.shards=2" in e for e in validate_manifest(manifest))
 
+    def test_profile_section_is_optional_and_type_checked(self):
+        profile = {
+            "shards": 1,
+            "phase_seconds": {"finalize": 0.5},
+            "phase_counts": {"finalize": 1},
+            "slowest_grabs": [[0.01, "a.example"]],
+            "top_functions": [
+                {"function": "x.py:1:f", "calls": 3, "total_s": 0.1,
+                 "cumulative_s": 0.2},
+            ],
+        }
+        assert validate_manifest(build_manifest(run=_valid_run())) == []
+        manifest = build_manifest(run=_valid_run(), profile=profile)
+        assert validate_manifest(manifest) == []
+        for field, bad in (
+            ("shards", -1),
+            ("phase_seconds", {"finalize": "slow"}),
+            ("phase_counts", [1]),
+            ("slowest_grabs", [["a.example", 0.01]]),
+            ("top_functions", [{"function": "f"}]),
+        ):
+            broken = build_manifest(
+                run=_valid_run(), profile=dict(profile, **{field: bad})
+            )
+            assert validate_manifest(broken) == [
+                f"profile.{field} missing or malformed"
+            ], field
+        broken = build_manifest(run=_valid_run(), profile=[])
+        assert validate_manifest(broken) == ["'profile' is not a dict"]
+
     def test_non_positive_peak_rss_is_flagged(self):
         for bad in (0, -1.0, "12"):
             run = dict(_valid_run(), peak_rss_mib=bad)

@@ -2,15 +2,15 @@
 
 import os
 
+import pytest
+
 from repro.hosting import EcosystemConfig, build_ecosystem
+from repro.obs import load_manifest, render_stats_report, validate_manifest
 from repro.obs.profiling import (
     Profiler,
     SLOWEST_N,
     aggregate_pstats,
-    load_profile_summary,
     merge_profiles,
-    render_profile_report,
-    write_profile_summary,
 )
 from repro.scanner import StudyConfig, run_study_with_stats
 
@@ -74,35 +74,59 @@ class TestProfilerPrimitives:
 
 class TestStudyProfiling:
     def test_profile_dir_written_and_renderable(self, tmp_path):
+        """Dumps and profile.txt land in <telemetry>/profile/; the merged
+        summary lives in the manifest, the run's one record."""
         ecosystem = build_ecosystem(
             EcosystemConfig(population=SMALL_POPULATION, seed=BENCH_SEED)
         )
-        profile_dir = str(tmp_path / "profile")
+        telemetry = str(tmp_path / "telemetry")
         run_study_with_stats(
-            ecosystem, _tiny_config(shards=2), profile_dir=profile_dir,
+            ecosystem, _tiny_config(shards=2), telemetry_dir=telemetry,
+            profile=True,
         )
-        names = sorted(os.listdir(profile_dir))
-        assert names == [
-            "profile.txt", "shard-00.pstats", "shard-01.pstats", "summary.json",
-        ]
-        summary = load_profile_summary(profile_dir)
-        assert summary["schema"] == "repro-profile/1"
-        assert summary["shards"] == 2
-        assert summary["phase_seconds"]
-        assert summary["top_functions"]
-        report = render_profile_report(summary)
+        names = sorted(os.listdir(os.path.join(telemetry, "profile")))
+        assert names == ["profile.txt", "shard-00.pstats", "shard-01.pstats"]
+        manifest = load_manifest(telemetry)
+        assert validate_manifest(manifest) == []
+        profile = manifest["profile"]
+        assert "schema" not in profile
+        assert profile["shards"] == 2
+        assert profile["phase_seconds"]
+        assert profile["slowest_grabs"]
+        assert profile["top_functions"]
+        report = render_stats_report(manifest, {})
+        assert "profiling (2 shard(s) profiled)" in report
         assert "time by phase" in report
         assert "hottest functions" in report
+
+    def test_unprofiled_manifest_has_no_profile_section(self, tmp_path):
+        ecosystem = build_ecosystem(
+            EcosystemConfig(population=SMALL_POPULATION, seed=BENCH_SEED)
+        )
+        telemetry = tmp_path / "telemetry"
+        run_study_with_stats(
+            ecosystem, _tiny_config(days=1), telemetry_dir=str(telemetry),
+        )
+        assert "profile" not in load_manifest(str(telemetry))
+        assert not (telemetry / "profile").exists()
+
+    def test_profile_requires_telemetry_dir(self):
+        ecosystem = build_ecosystem(
+            EcosystemConfig(population=SMALL_POPULATION, seed=BENCH_SEED)
+        )
+        with pytest.raises(ValueError, match="telemetry_dir"):
+            run_study_with_stats(ecosystem, _tiny_config(), profile=True)
 
     def test_aggregate_pstats_names_hot_functions(self, tmp_path):
         ecosystem = build_ecosystem(
             EcosystemConfig(population=SMALL_POPULATION, seed=BENCH_SEED)
         )
-        profile_dir = str(tmp_path / "profile")
+        telemetry = str(tmp_path / "telemetry")
         run_study_with_stats(
-            ecosystem, _tiny_config(shards=1), profile_dir=profile_dir,
+            ecosystem, _tiny_config(shards=1), telemetry_dir=telemetry,
+            profile=True,
         )
-        report_text, top = aggregate_pstats(profile_dir)
+        report_text, top = aggregate_pstats(os.path.join(telemetry, "profile"))
         assert "cumulative" in report_text
         functions = " ".join(entry["function"] for entry in top)
         assert "connect" in functions

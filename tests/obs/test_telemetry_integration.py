@@ -165,7 +165,8 @@ class TestOutputNeutrality:
                 ecosystem,
                 small_study_config(),
                 live=plane,
-                profile_dir=str(tmp_path / "profile"),
+                telemetry_dir=str(tmp_path / "telemetry"),
+                profile=True,
             )
         finally:
             plane.stop()

@@ -17,6 +17,7 @@ import pytest
 
 from repro.faults.retry import RetryPolicy
 from repro.hosting import EcosystemConfig, build_ecosystem
+from repro.obs import load_manifest
 from repro.scanner import (
     EVERY_DAY,
     CheckpointMismatch,
@@ -202,11 +203,15 @@ class TestResume:
                 _ecosystem(), config, shard_id=shard_id,
                 stream_dir=os.path.join(out, "shards", f"{shard_id:02d}"),
             ))
+        telemetry = str(tmp_path / "telemetry")
         _, stats = run_study_with_stats(
-            ecosystem, replace(config, stream_dir=out), resume=True
+            ecosystem, replace(config, stream_dir=out), resume=True,
+            telemetry_dir=telemetry, profile=True,
         )
         assert stats.grabs > 0
         assert not os.path.exists(os.path.join(out, "checkpoint"))
+        # No shard ran in this process, so none was profiled.
+        assert load_manifest(telemetry)["profile"]["shards"] == 0
 
     def test_resume_without_checkpoint_is_an_error(self, tmp_path):
         with pytest.raises(CheckpointMismatch, match="nothing to resume"):

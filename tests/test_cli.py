@@ -138,23 +138,19 @@ def telemetry_run(tmp_path_factory):
     return out, telemetry
 
 
-def test_study_quiet_suppresses_progress(telemetry_run, capsys):
-    # The fixture ran with -q: no \r progress and no telemetry notice
-    # may have reached stderr (results still go to stdout).
-    assert "scanning day" not in capsys.readouterr().err
-
-
-def test_progress_lines_by_shard_count(capsys):
-    from repro.cli import _ProgressReporter
-
-    reporter = _ProgressReporter(verbosity=0)
-    for shards in (1, 2):
-        for day in range(3):  # day == days marks the shard done
-            reporter.shard(0, shards, day, 2)
-    assert capsys.readouterr().err == (
-        "\rscanning day 1/2\rscanning day 2/2"
-        "\rshard 1/2: day 1/2\rshard 1/2: day 2/2\rshard 1/2 done        "
-    )
+def test_study_quiet_suppresses_progress(tmp_path, capsys):
+    """-q prints nothing to stderr; the default draws the live plane's
+    status line (the one `repro watch URL` prints) and ends it with a
+    newline once the study is done."""
+    study = ["study", "--days", "2", "--population", "330", "--seed", "3"]
+    assert main(study + ["--out", str(tmp_path / "quiet"), "-q"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(study + ["--out", str(tmp_path / "loud")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("\r[") and err.endswith("\n")
+    last = err.rstrip().rsplit("\r", 1)[1]
+    assert last.startswith("[########################] 100.0%")
+    assert "shards 1/1  days 2/2" in last and last.endswith("done")
 
 
 def test_study_writes_telemetry_next_to_dataset(telemetry_run):
@@ -503,11 +499,38 @@ def test_events_corrupted_log_fails_validation(observed_run, tmp_path, capsys):
     assert "seq" in capsys.readouterr().err
 
 
-def test_stats_includes_profile_section(observed_run, capsys):
-    assert main(["stats", str(observed_run / "telemetry")]) == 0
+def test_stats_includes_profile_section(observed_run, tmp_path, capsys):
+    """The profile summary is part of the manifest: `repro stats` renders
+    it from manifest.json alone."""
+    telemetry = observed_run / "telemetry"
+    assert (telemetry / "profile" / "shard-01.pstats").exists()
+    assert not (telemetry / "profile" / "summary.json").exists()
+    alone = tmp_path / "manifest-only"
+    alone.mkdir()
+    shutil.copy(telemetry / "manifest.json", alone / "manifest.json")
+    assert main(["stats", str(alone)]) == 0
     out = capsys.readouterr().out
-    assert "profiling" in out
+    assert "profiling (2 shard(s) profiled)" in out
     assert "time by phase" in out
+
+
+def test_stats_renders_parent_format_profile_directory(observed_run, tmp_path,
+                                                       capsys):
+    """Telemetry written before the profile moved into the manifest: no
+    ``profile`` key, a ``profile/summary.json`` beside it."""
+    import json
+
+    from repro.obs import load_manifest, write_manifest
+
+    old = tmp_path / "old-telemetry"
+    shutil.copytree(observed_run / "telemetry", old)
+    manifest = load_manifest(str(old))
+    summary = dict(manifest.pop("profile"), schema="repro-profile/1")
+    write_manifest(str(old), manifest)
+    (old / "profile" / "summary.json").write_text(json.dumps(summary))
+    assert main(["stats", str(old)]) == 0
+    out = capsys.readouterr().out
+    assert "run manifest: study" in out and "profiling" not in out
 
 
 def test_report_events_provenance(observed_run, capsys):
@@ -520,13 +543,20 @@ def test_report_events_provenance(observed_run, capsys):
 
 
 def test_watch_telemetry_dir(observed_run, capsys):
-    assert main(["watch", str(observed_run / "telemetry")]) == 0
-    out = capsys.readouterr().out
-    assert "finished" in out
+    """A finished run is read by `repro stats`; watch names it."""
+    telemetry = str(observed_run / "telemetry")
+    assert main(["watch", telemetry]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro: error: watch follows a running study by URL; for the "
+        f"finished run in {telemetry} use `repro stats {telemetry}`\n"
+    )
 
 
-def test_watch_missing_target_exits_1(tmp_path, capsys):
-    assert main(["watch", str(tmp_path / "nothing")]) == 1
+def test_watch_non_url_target_exits_2(tmp_path, capsys):
+    assert main(["watch", str(tmp_path / "nothing")]) == 2
+    assert "repro stats" in capsys.readouterr().err
 
 
 def test_watch_unreachable_url_exits_1(capsys):
@@ -538,6 +568,30 @@ def test_profile_requires_telemetry_dir(tmp_path, capsys):
     assert main(["study", "--out", str(tmp_path / "o"), "--profile",
                  "-q"] + ECO_ARGS) == 2
     assert "--telemetry-dir" in capsys.readouterr().err
+
+
+def test_watch_redraws_over_a_longer_line(capsys):
+    """Following to the end: the final ``done`` line is shorter than the
+    ``eta`` line before it and is padded over its tail."""
+    import threading
+
+    from repro.obs.exporter import LivePlane
+
+    plane = LivePlane(serve_port=0).start()
+    try:
+        plane.study_started(shards=1, days=2, workers=1)
+        plane.day_completed(0, day=0, days=2, grabs=10, delta={})
+        timer = threading.Timer(0.5, plane.progress.finish)
+        timer.start()
+        assert main(["watch", plane.url, "--interval", "0.1"]) == 0
+        timer.join()
+    finally:
+        plane.stop()
+    captured = capsys.readouterr()
+    *_, running, done = captured.err.rstrip("\n").split("\r")
+    assert "eta" in running and done.rstrip().endswith("done")
+    assert len(done) >= len(running)
+    assert captured.out == done.rstrip() + "\n"
 
 
 def test_watch_live_study_over_http(tmp_path, capsys):
