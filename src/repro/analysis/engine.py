@@ -28,11 +28,13 @@ is never resident.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -104,6 +106,26 @@ class AnalysisResult:
         return {domain for domain, ok in trusted.items() if ok}
 
 
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off.
+
+    Fold states, cache payloads and span outputs are acyclic (dicts,
+    lists and strings from JSON, plus dataclasses over them), so
+    reference counting frees all of them; the collector's passes would
+    only re-scan the growing fold state and find nothing.  The
+    collector is re-enabled on exit only if it was on before, so a
+    caller that turned it off keeps it off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _cache_file(cache_dir: str, chunk: Chunk) -> str:
     return os.path.join(
         cache_dir, f"{chunk.channel}-{chunk.start:012d}-{chunk.end:012d}.json"
@@ -162,8 +184,10 @@ def _write_cache(path: str, chunk: Chunk, digest: str, rows: int,
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         # One-shot dumps runs the C encoder; streaming json.dump never
-        # does.  No sort_keys: state key order is load-bearing.
-        fh.write(json.dumps(payload))
+        # does.  No sort_keys: state key order is load-bearing.  The
+        # payload is acyclic JSON data, so skipping the circular
+        # reference check writes the same bytes.
+        fh.write(json.dumps(payload, check_circular=False))
     os.replace(tmp, path)
 
 
@@ -171,26 +195,28 @@ def _run_chunk(task) -> ChunkOutcome:
     """Worker entry point: fold one chunk for every aggregate that reads
     its channel (top-level function so the process pool can pickle it)."""
     directory, chunk, aggregates, use_cache = task
-    needed = [a for a in aggregates if chunk.channel in a.channels]
-    specs = _spec_digests(needed)
-    blob = read_chunk(channel_path(directory, chunk.channel),
-                      chunk.start, chunk.end)
-    digest = hashlib.sha256(blob).hexdigest()
-    cache_dir = os.path.join(directory, CACHE_DIR_NAME)
-    cache_path = _cache_file(cache_dir, chunk)
-    if use_cache:
-        cached = _load_cached(cache_path, chunk, digest, needed, specs)
-        if cached is not None:
-            return cached
-    rows = parse_chunk(blob)
-    states = {
-        agg.name: agg.fold(agg.zero(), chunk.channel, rows) for agg in needed
-    }
-    if use_cache:
-        os.makedirs(cache_dir, exist_ok=True)
-        _write_cache(cache_path, chunk, digest, len(rows), states, specs)
-    return ChunkOutcome(chunk=chunk, rows=len(rows), states=states,
-                        cache_hit=False)
+    with _collector_paused():
+        needed = [a for a in aggregates if chunk.channel in a.channels]
+        specs = _spec_digests(needed)
+        blob = read_chunk(channel_path(directory, chunk.channel),
+                          chunk.start, chunk.end)
+        digest = hashlib.sha256(blob).hexdigest()
+        cache_dir = os.path.join(directory, CACHE_DIR_NAME)
+        cache_path = _cache_file(cache_dir, chunk)
+        if use_cache:
+            cached = _load_cached(cache_path, chunk, digest, needed, specs)
+            if cached is not None:
+                return cached
+        rows = parse_chunk(blob)
+        states = {
+            agg.name: agg.fold(agg.zero(), chunk.channel, rows)
+            for agg in needed
+        }
+        if use_cache:
+            os.makedirs(cache_dir, exist_ok=True)
+            _write_cache(cache_path, chunk, digest, len(rows), states, specs)
+        return ChunkOutcome(chunk=chunk, rows=len(rows), states=states,
+                            cache_hit=False)
 
 
 @dataclass
@@ -217,34 +243,35 @@ class AnalysisEngine:
             (self.directory, chunk, self.aggregates, self.use_cache)
             for chunk in plan
         ]
-        if self.workers > 1 and len(tasks) > 1:
-            pool_size = min(self.workers, len(tasks))
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                # pool.map preserves submission order, so outcomes
-                # arrive in deterministic (channel, offset) order no
-                # matter which worker finishes first.
-                outcomes = list(pool.map(_run_chunk, tasks))
-        else:
-            outcomes = [_run_chunk(task) for task in tasks]
-        by_channel: Dict[str, List[ChunkOutcome]] = {}
-        channel_rows: Dict[str, int] = {}
-        cache_hits = cache_misses = 0
-        for outcome in outcomes:
-            by_channel.setdefault(outcome.chunk.channel, []).append(outcome)
-            channel_rows[outcome.chunk.channel] = (
-                channel_rows.get(outcome.chunk.channel, 0) + outcome.rows
-            )
-            if outcome.cache_hit:
-                cache_hits += 1
+        with _collector_paused():
+            if self.workers > 1 and len(tasks) > 1:
+                pool_size = min(self.workers, len(tasks))
+                with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                    # pool.map preserves submission order, so outcomes
+                    # arrive in deterministic (channel, offset) order no
+                    # matter which worker finishes first.
+                    outcomes = list(pool.map(_run_chunk, tasks))
             else:
-                cache_misses += 1
-        outputs: Dict[str, object] = {}
-        for agg in self.aggregates:
-            state = agg.zero()
-            for channel in agg.channels:
-                for outcome in by_channel.get(channel, []):
-                    state = agg.merge(state, outcome.states[agg.name])
-            outputs[agg.name] = agg.finalize(state, meta)
+                outcomes = [_run_chunk(task) for task in tasks]
+            by_channel: Dict[str, List[ChunkOutcome]] = {}
+            channel_rows: Dict[str, int] = {}
+            cache_hits = cache_misses = 0
+            for outcome in outcomes:
+                by_channel.setdefault(outcome.chunk.channel, []).append(outcome)
+                channel_rows[outcome.chunk.channel] = (
+                    channel_rows.get(outcome.chunk.channel, 0) + outcome.rows
+                )
+                if outcome.cache_hit:
+                    cache_hits += 1
+                else:
+                    cache_misses += 1
+            outputs: Dict[str, object] = {}
+            for agg in self.aggregates:
+                state = agg.zero()
+                for channel in agg.channels:
+                    for outcome in by_channel.get(channel, []):
+                        state = agg.merge(state, outcome.states[agg.name])
+                outputs[agg.name] = agg.finalize(state, meta)
         METRICS.counter("analysis.chunks").inc(len(plan))
         METRICS.counter("analysis.cache.hit").inc(cache_hits)
         METRICS.counter("analysis.cache.miss").inc(cache_misses)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Optional, Tuple
 
-from .aggregate import ShardAggregate, fold_records, secret_value
+from .aggregate import ShardAggregate, fold_records, secret_fields
 from ..scanner.records import CrossDomainEdge, ScanObservation
 
 
@@ -230,22 +230,30 @@ class IdentifierGroupsAggregate(ShardAggregate):
         return {}
 
     def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
+        if self.kind == "stek":
+            gate, wanted, key = secret_fields("stek")
+        else:
+            # DH groups join DHE and ECDHE values alike: no kind gate.
+            gate, wanted, key = None, None, "kex_public"
         for row in rows:
-            if not row["success"]:
+            if not row["success"] or (gate and row[gate] != wanted):
                 continue
-            # DH groups join DHE and ECDHE values alike.
-            value = (secret_value(row, "stek") if self.kind == "stek"
-                     else row["kex_public"])
+            value = row[key]
             if not value:
                 continue
-            domains = state.setdefault(value, [])
-            if row["domain"] not in domains:
+            domains = state.get(value)
+            if domains is None:
+                state[value] = [row["domain"]]
+            elif row["domain"] not in domains:
                 domains.append(row["domain"])
         return state
 
     def merge(self, left: dict, right: dict) -> dict:
         for value, domains in right.items():
-            mine = left.setdefault(value, [])
+            mine = left.get(value)
+            if mine is None:
+                left[value] = domains
+                continue
             for domain in domains:
                 if domain not in mine:
                     mine.append(domain)

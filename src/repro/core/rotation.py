@@ -55,12 +55,19 @@ class RotationAggregate(ShardAggregate):
         for row in rows:
             if not row["success"] or not row["stek_id"]:
                 continue
-            state.setdefault(row["domain"], {})[str(row["day"])] = row["stek_id"]
+            by_day = state.get(row["domain"])
+            if by_day is None:
+                by_day = state[row["domain"]] = {}
+            by_day[str(row["day"])] = row["stek_id"]
         return state
 
     def merge(self, left: dict, right: dict) -> dict:
         for domain, by_day in right.items():
-            left.setdefault(domain, {}).update(by_day)
+            mine = left.get(domain)
+            if mine is None:
+                left[domain] = by_day
+            else:
+                mine.update(by_day)
         return left
 
     def finalize(self, state: dict, meta: dict) -> dict:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .aggregate import ShardAggregate, fold_records, secret_value
+from .aggregate import ShardAggregate, fold_records, secret_fields
 from .cdf import CDF
 from ..scanner.records import ScanObservation
 
@@ -109,14 +109,16 @@ class SpanAggregate(ShardAggregate):
         return {}
 
     def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
-        kind = self.kind
+        gate, wanted, key = secret_fields(self.kind)
         for row in rows:
-            if not row["success"]:
+            if not row["success"] or row[gate] != wanted:
                 continue
-            identifier = secret_value(row, kind)
+            identifier = row[key]
             if not identifier:
                 continue
-            by_id = state.setdefault(row["domain"], {})
+            by_id = state.get(row["domain"])
+            if by_id is None:
+                by_id = state[row["domain"]] = {}
             entry = by_id.get(identifier)
             if entry is None:
                 by_id[identifier] = [row["day"], row["day"], 1]
@@ -128,7 +130,10 @@ class SpanAggregate(ShardAggregate):
 
     def merge(self, left: dict, right: dict) -> dict:
         for domain, by_id in right.items():
-            left_ids = left.setdefault(domain, {})
+            left_ids = left.get(domain)
+            if left_ids is None:
+                left[domain] = by_id
+                continue
             for identifier, entry in by_id.items():
                 mine = left_ids.get(identifier)
                 if mine is None:
@@ -140,16 +145,15 @@ class SpanAggregate(ShardAggregate):
         return left
 
     def finalize(self, state: dict, meta: dict) -> dict:
-        result = {}
-        for domain, by_id in state.items():
-            entry = DomainSpans(domain=domain)
-            for identifier, (first, last, count) in by_id.items():
-                entry.spans.append(IdentifierSpan(
-                    domain=domain, identifier=identifier,
-                    first_day=first, last_day=last, observations=count,
-                ))
-            result[domain] = entry
-        return result
+        # Positional construction: this builds one IdentifierSpan per
+        # (domain, identifier) of the corpus on every pass.
+        return {
+            domain: DomainSpans(domain, [
+                IdentifierSpan(domain, identifier, first, last, count)
+                for identifier, (first, last, count) in by_id.items()
+            ])
+            for domain, by_id in state.items()
+        }
 
 
 def collect_spans(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .aggregate import ShardAggregate, fold_records, secret_value
+from .aggregate import ShardAggregate, fold_records, secret_fields
 from ..scanner.records import ScanObservation
 
 
@@ -66,21 +66,27 @@ class SupportAggregate(ShardAggregate):
         return {}
 
     def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
-        kind = self.kind
+        gate, wanted, key = secret_fields(self.kind)
         for row in rows:
             if not row["success"]:
                 continue
-            entry = state.setdefault(row["domain"], [False, {}])
+            entry = state.get(row["domain"])
+            if entry is None:
+                entry = state[row["domain"]] = [False, {}]
             if row["cert_trusted"]:
                 entry[0] = True
-            value = secret_value(row, kind)
-            if value:
-                entry[1][value] = entry[1].get(value, 0) + 1
+            if row[gate] == wanted:
+                value = row[key]
+                if value:
+                    entry[1][value] = entry[1].get(value, 0) + 1
         return state
 
     def merge(self, left: dict, right: dict) -> dict:
         for domain, (trusted, tally) in right.items():
-            entry = left.setdefault(domain, [False, {}])
+            entry = left.get(domain)
+            if entry is None:
+                left[domain] = [trusted, tally]
+                continue
             if trusted:
                 entry[0] = True
             for value, count in tally.items():

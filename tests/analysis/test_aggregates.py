@@ -12,6 +12,9 @@ skip paths (failures, absent identifiers, untrusted certs):
 * **cache round-trip** — a partial state survives JSON serialization
   (the ``.analysis/`` cache) with dict insertion order intact.
 
+The secret gates (success, issued ticket, key-exchange kind, non-empty
+identifier) are also checked against literal outputs.
+
 Comparisons run through :func:`helpers.canon`, which makes dict *order*
 significant — plain ``==`` would accept reordered states that then
 render different report bytes.
@@ -25,6 +28,7 @@ import pytest
 from helpers import canon
 
 from repro.analysis.aggregates import default_aggregates
+from repro.core.groups import SHARED_IDENTIFIER_CHANNELS, IdentifierGroupsAggregate
 from repro.scanner.records import (
     CrossDomainEdge,
     ResumptionProbeResult,
@@ -83,7 +87,37 @@ def make_corpus():
         corpus["cache_edges"].append(asdict(CrossDomainEdge(
             origin=f"d{i:03d}.test", acceptor=f"d{i + 1:03d}.test",
             via_same_ip=i % 4 == 0, via_same_as=True)))
+    for channel in ("ticket_daily", "dhe_daily", "ecdhe_daily", "ticket_support",
+                    "dhe_support", "ecdhe_support", "ticket_30min"):
+        corpus[channel].extend(GATE_ROWS)
     return corpus
+
+
+def _gate_row(domain, day, *, success=True, trusted=True, issued=True,
+              stek="", kex_kind="dhe", kex=""):
+    return asdict(ScanObservation(
+        domain=domain, day=day, timestamp=day * 86400.0, success=success,
+        cert_trusted=trusted, ticket_issued=issued, stek_id=stek,
+        kex_kind=kex_kind, kex_public=kex))
+
+
+#: Rows for the secret gates, in stream order: kept.test's successful
+#: rows carry identifiers every fold keeps; the rest carry ones a gate
+#: must drop: a failed row (day 9 would stretch the k1/v1 spans, and
+#: failed.test would join every group), an unissued ticket's STEK id,
+#: a key-exchange value of the other kind, and empty identifiers.
+GATE_ROWS = [
+    _gate_row("kept.test", 0, stek="k1", kex_kind="dhe", kex="v1"),
+    _gate_row("kept.test", 4, stek="k1", kex_kind="dhe", kex="v1"),
+    _gate_row("kept.test", 2, stek="k1", kex_kind="ecdhe", kex="w1"),
+    _gate_row("kept.test", 9, success=False, stek="k1", kex_kind="dhe", kex="v1"),
+    _gate_row("failed.test", 1, success=False, stek="k1", kex_kind="dhe", kex="v1"),
+    _gate_row("unissued.test", 1, trusted=False, issued=False, stek="k1",
+              kex_kind="ecdhe", kex="w1"),
+    _gate_row("other.test", 1, stek="k2", kex_kind="ecdhe", kex="v1"),
+    _gate_row("empty.test", 1, kex_kind="dhe"),
+    _gate_row("empty.test", 2, kex_kind="ecdhe"),
+]
 
 
 CORPUS = make_corpus()
@@ -165,3 +199,50 @@ def test_default_aggregates_have_unique_names_and_specs():
     assert len(set(names)) == len(names)
     specs = [json.dumps(agg.spec(), sort_keys=True) for agg in aggs]
     assert len(set(specs)) == len(specs)
+
+
+_TRUST = {"kept.test": True, "unissued.test": False, "other.test": True,
+          "empty.test": True}
+
+#: Each gated aggregate's output over GATE_ROWS alone: spans as
+#: ``{domain: [(identifier, first, last, observations)]}``, groups as
+#: member lists, support scans as their finalized dicts.
+GATE_EXPECTED = {
+    "stek_spans": {"kept.test": [("k1", 0, 4, 3)], "other.test": [("k2", 1, 1, 1)]},
+    "dhe_spans": {"kept.test": [("v1", 0, 4, 2)]},
+    "ecdhe_spans": {"kept.test": [("w1", 2, 2, 1)], "unissued.test": [("w1", 1, 1, 1)],
+                    "other.test": [("v1", 1, 1, 1)]},
+    "ticket_waterfall": {"trusted": _TRUST, "tallies": {
+        "kept.test": {"k1": 3}, "unissued.test": {}, "other.test": {"k2": 1},
+        "empty.test": {}}},
+    "dhe_waterfall": {"trusted": _TRUST, "tallies": {
+        "kept.test": {"v1": 2}, "unissued.test": {}, "other.test": {},
+        "empty.test": {}}},
+    "ecdhe_waterfall": {"trusted": _TRUST, "tallies": {
+        "kept.test": {"w1": 1}, "unissued.test": {"w1": 1}, "other.test": {"v1": 1},
+        "empty.test": {}}},
+    "stek_groups": [["kept.test"], ["other.test"]],
+    # DH groups read every key-exchange value, whatever its kind.
+    "dh_groups": [["kept.test", "other.test", "unissued.test"]],
+}
+
+
+def _gate_output(output):
+    if isinstance(output, dict) and "tallies" not in output:
+        return {domain: [(span.identifier, span.first_day, span.last_day,
+                          span.observations) for span in entry.spans]
+                for domain, entry in output.items()}
+    if hasattr(output, "groups"):
+        return [sorted(group.domains) for group in output.groups]
+    return output
+
+
+GATED = [agg for agg in default_aggregates() if agg.name in GATE_EXPECTED] + [
+    IdentifierGroupsAggregate("dh_groups", SHARED_IDENTIFIER_CHANNELS["dh"], kind="dh")]
+
+
+@pytest.mark.parametrize("agg", GATED, ids=lambda a: a.name)
+def test_secret_gates_drop_failed_unissued_other_kind_and_empty(agg):
+    state = agg.fold(agg.zero(), agg.channels[0], copy.deepcopy(GATE_ROWS))
+    output = agg.finalize(state, {})
+    assert canon(_gate_output(output)) == canon(GATE_EXPECTED[agg.name])

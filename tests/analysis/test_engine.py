@@ -8,6 +8,7 @@ in-memory ``core`` estimators must equal the engine's outputs exactly,
 dict order included.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -27,6 +28,7 @@ from repro.analysis import (
     report_inputs_from_analysis,
 )
 from repro.scanner import save_dataset
+from repro.scanner.datastore import channel_path, write_meta
 
 CHUNK = 1 << 16  # small enough for several chunks per daily channel
 
@@ -181,8 +183,6 @@ def test_row_counts_match_the_dataset(saved_dataset, small_study):
 
 
 def test_empty_dataset_renders_without_sections(tmp_path):
-    from repro.scanner.datastore import write_meta
-
     directory = str(tmp_path / "empty")
     os.makedirs(directory)
     write_meta(directory, {"days": 0, "always_present": [], "ranks": {}})
@@ -235,3 +235,51 @@ def test_core_estimators_match_engine_outputs(saved_dataset, small_study):
     for in_memory, streamed in pairs:
         assert in_memory  # the small study exercises every estimator
         assert canon(in_memory) == canon(streamed)
+
+
+@pytest.fixture
+def collector_restored():
+    """Put the cyclic collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_analyze_leaves_the_collector_as_it_found_it(
+        saved_dataset, tmp_path, collector_restored, enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    analyze(cold_copy(saved_dataset, tmp_path), chunk_bytes=CHUNK)
+    assert gc.isenabled() is enabled
+
+    bad = str(tmp_path / "bad")
+    os.makedirs(bad)
+    write_meta(bad, {"days": 1, "always_present": [], "ranks": {}})
+    with open(channel_path(bad, "ticket_daily"), "w", encoding="utf-8") as fh:
+        fh.write('{"domain": "a.test"\n')
+    with pytest.raises(ValueError):
+        analyze(bad)
+    assert gc.isenabled() is enabled
+
+
+def test_analysis_leaves_no_cyclic_garbage(saved_dataset, tmp_path,
+                                           collector_restored):
+    """Why the engine may pause the collector: a cold and a warm run and
+    both renders free everything they drop by reference counting."""
+    directory = cold_copy(saved_dataset, tmp_path)
+    gc.collect()
+    gc.disable()
+    cold = analyze(directory, chunk_bytes=CHUNK)
+    report = render_report(report_inputs_from_analysis(cold), min_days=2)
+    warm = analyze(directory, chunk_bytes=CHUNK)
+    audit = render_audit(audit_inputs_from_analysis(warm), worst=7)
+    assert warm.cache_hits == warm.chunks
+    assert (sha256(report), sha256(audit)) == PINNED
+    del cold, warm, report, audit
+    assert gc.collect() == 0
