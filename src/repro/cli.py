@@ -394,17 +394,6 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .bench import main as bench_main
-
-    forwarded: list[str] = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.out:
-        forwarded += ["--out", args.out]
-    return bench_main(forwarded)
-
-
 def cmd_stats(args) -> int:
     from .obs import (
         load_manifest,
@@ -648,15 +637,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "affects output (default 1)")
     study.add_argument("--concurrency", type=int, default=1024,
                        metavar="N",
-                       help="in-flight grabs admitted per event-loop batch "
-                            "within each shard; execution-only, never "
+                       help="observations each sweep buffers per flush "
+                            "to the shard's writers; execution-only, never "
                             "affects output (default 1024; see "
                             "docs/SCALING.md)")
     study.add_argument("--oracle", action="store_true",
                        help="run every grab as a record-layer exchange "
                             "(real records and crypto around the same "
                             "handshake decisions) instead of the fast "
-                            "path, on the same event-loop sweep; output is "
+                            "path, on the same sweep; output is "
                             "byte-identical, several times slower — the "
                             "reference for equivalence checks")
     study.add_argument("--telemetry-dir", default=None,
@@ -779,12 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also list the N most exposed domains")
     _add_analysis_arguments(audit)
     audit.set_defaults(func=cmd_audit)
-
-    bench = sub.add_parser("bench", help="primitive micro-benchmarks (ops/sec)")
-    bench.add_argument("--quick", action="store_true",
-                       help="short timing windows (CI smoke mode)")
-    bench.add_argument("--out", default=None, help="write JSON report here")
-    bench.set_defaults(func=cmd_bench)
 
     target = sub.add_parser("target", help="§7.2 nation-state target analysis")
     target.add_argument("domain", nargs="?", default="google.com")

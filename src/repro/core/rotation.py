@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .aggregate import ShardAggregate, fold_records
+from .aggregate import ShardAggregate, fold_records, secret_fields
 from .spans import DomainSpans
 from ..scanner.records import ScanObservation
 
@@ -39,9 +39,9 @@ class RotationAggregate(ShardAggregate):
     """Per-domain day -> STEK identifier maps for rotation inference.
 
     State: ``{domain: {str(day): stek_id}}`` over successful
-    connections that presented a STEK identifier (string day keys so
-    the state JSON-round-trips; ``finalize`` restores ints).  Later
-    rows overwrite earlier ones per (domain, day).
+    connections that were issued a ticket carrying a STEK identifier
+    (string day keys so the state JSON-round-trips; ``finalize``
+    restores ints).  Later rows overwrite earlier ones per (domain, day).
     """
 
     def __init__(self, name: str, channel: str = "ticket_daily") -> None:
@@ -52,13 +52,14 @@ class RotationAggregate(ShardAggregate):
         return {}
 
     def fold(self, state: dict, channel: str, rows: Iterable[dict]) -> dict:
+        gate, wanted, key = secret_fields("stek")
         for row in rows:
-            if not row["success"] or not row["stek_id"]:
+            if not row["success"] or row[gate] != wanted or not row[key]:
                 continue
             by_day = state.get(row["domain"])
             if by_day is None:
                 by_day = state[row["domain"]] = {}
-            by_day[str(row["day"])] = row["stek_id"]
+            by_day[str(row["day"])] = row[key]
         return state
 
     def merge(self, left: dict, right: dict) -> dict:

@@ -321,7 +321,7 @@ def base_point(curve: Curve) -> Point:
 
 # 8-bit windows: ~32 additions per 256-bit keygen instead of ~60 at
 # the cost of a once-per-curve table build of ~8k additions and ~8k
-# inversions.  The event-driven scanner regenerates a server keypair
+# inversions.  The scanner regenerates a server keypair
 # per full handshake under the paper's FRESH reuse policy, so base
 # multiplication dominates its remaining crypto budget.
 _FIXED_BASE_WINDOW = 8

@@ -1,9 +1,9 @@
 """Deterministic event loop over the virtual clock.
 
-This is the scheduler behind the event-driven scan core: it interleaves
-thousands of in-flight tasks (TLS handshakes, resumption probes, retry
-backoffs) in ONE process while keeping execution order a pure function
-of the schedule — never of how many tasks happen to be in flight.
+This is the scheduler behind the resumption-lifetime probes: it
+interleaves thousands of in-flight tasks (one 24-hour probe per domain)
+in ONE process while keeping execution order a pure function of the
+schedule — never of how many tasks happen to be in flight.
 
 Tasks are plain generators.  A task runs until it ``yield``\\ s a
 :class:`Wait`, which parks it on the loop's heap until the requested
@@ -23,8 +23,8 @@ Determinism invariants (load-bearing; see docs/SCALING.md):
    resumed inline.  Equal-time tasks therefore interleave in exactly
    the order their waits were issued, independent of batch size.
 3. The loop never rewinds: a wait due in the past resumes at the
-   current virtual time (``max(due, now)``), matching the blocking
-   scanner's ``advance_to(max(scheduled, now))`` idiom.
+   current virtual time (``max(due, now)``), matching the sweep's
+   ``advance_to(max(tick, now))`` rule.
 
 Example — two handshake-shaped tasks interleave by virtual due time,
 not by spawn order:
@@ -49,8 +49,8 @@ not by spawn order:
 >>> (slow.result, fast.result)
 ('slow', 'fast')
 
-Tasks can also be admitted at a future time (the sweep scheduler
-admits one grab per schedule tick):
+Tasks can also be admitted at a future time (the resumption probes
+admit one domain per stagger step):
 
 >>> loop = EventLoop(clock.now, clock.advance)
 >>> def ping(at):

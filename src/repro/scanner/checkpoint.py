@@ -34,8 +34,8 @@ SCHEMA = "repro-checkpoint/1"
 RUN_NAME = "run.json"
 
 #: StudyConfig fields excluded from the fingerprint: pure execution
-#: settings that never affect output bytes.  ``concurrency`` (event-loop
-#: batch size) and ``oracle`` (record-layer exchange for every grab) are
+#: settings that never affect output bytes.  ``concurrency`` (sweep
+#: flush size) and ``oracle`` (record-layer exchange for every grab) are
 #: byte-equivalent by construction, so a resumed run may change them.
 _EXECUTION_FIELDS = ("workers", "stream_dir", "concurrency", "oracle")
 

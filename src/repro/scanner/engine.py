@@ -250,7 +250,6 @@ def run_shard(
         emit=sink.emit,
         shard_id=shard_id,
         shard_count=shard_count,
-        concurrency=config.concurrency,
     )
     ctx.meta["day0_list"] = ecosystem.alexa_list(0)
     ranks = ctx.meta.setdefault("ranks", {})

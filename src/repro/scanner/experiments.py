@@ -87,9 +87,6 @@ class StudyContext:
     rng: DeterministicRandom
     config: "StudyConfig"  # noqa: F821 — import cycle; see study.py
     emit: Callable[[str, Iterable], int]
-    #: Event-loop admission batch size for sweeps.  Execution-only:
-    #: never changes dataset bytes, only buffering granularity.
-    concurrency: int
     shard_id: int = 0
     shard_count: int = 1
     today: list[tuple[int, str]] = field(default_factory=list)
@@ -197,7 +194,7 @@ class DailySweepExperiment(Experiment):
                 offer_tickets=self.offer_tickets,
                 label=self.label,
             ),
-            concurrency=ctx.concurrency,
+            concurrency=ctx.config.concurrency,
             sink=lambda batch: ctx.emit(self.channel, batch),
         )
 
@@ -251,14 +248,14 @@ class SupportScanExperiment(Experiment):
                 window_seconds=window,
                 label=f"{self.kind}-support",
             ),
-            concurrency=ctx.concurrency,
+            concurrency=ctx.config.concurrency,
             sink=lambda batch: ctx.emit(f"{self.kind}_support", batch),
         )
         thirty_minute_scan(
             ctx.grabber,
             ctx.today_owned,
             self.offer,
-            concurrency=ctx.concurrency,
+            concurrency=ctx.config.concurrency,
             sink=lambda batch: ctx.emit(f"{self.kind}_30min", batch),
         )
 

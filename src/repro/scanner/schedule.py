@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..netsim.clock import HOUR, MINUTE
-from ..netsim.eventloop import EventLoop, Wait
 from ..tls.ciphers import CipherSuite, MODERN_BROWSER_OFFER
 from .grab import ZGrabber
 from .records import ScanObservation
@@ -47,16 +46,15 @@ def sweep(
     spaced across the whole window (the paper's 10 connections over six
     hours), not fired back-to-back.
 
-    Grabs are admitted onto a :class:`~repro.netsim.eventloop.EventLoop`
-    in batches of ``concurrency`` in-flight tasks.  Every grab is
-    scheduled at its window tick and the loop resumes tasks in
-    ``(due, admission)`` order, at ``max(due, now)``, so the batch size
-    never changes output bytes, only how many observations are buffered
-    before each flush (memory).
+    Each grab starts at its window tick, or later if an earlier grab's
+    retry backoff has already moved the clock past it: the clock never
+    rewinds, so the grab runs at ``max(tick, now)``.
 
-    ``sink`` receives observation batches as they complete (the
-    streaming engine's per-shard emit); without it, all observations
-    are returned as one list.
+    ``sink`` receives the observations in schedule order, in batches of
+    ``concurrency`` (the streaming engine's per-shard emit); the batch
+    size only sets how many observations are buffered before each
+    flush, never the bytes.  Without ``sink``, all observations are
+    returned as one list.
     """
     ecosystem = grabber.ecosystem
     observations: list[ScanObservation] = []
@@ -67,21 +65,14 @@ def sweep(
         return observations
     total = len(domains) * config.connections_per_domain
     step = config.window_seconds / max(total, 1)
-    start = ecosystem.clock.now()
-    schedule = (
-        (tick, rank, name)
-        for tick, (rank, name) in enumerate(
-            (pair for _ in range(config.connections_per_domain) for pair in domains)
-        )
-    )
+    clock = ecosystem.clock
+    start = clock.now()
     window = max(1, int(concurrency))
-    loop = EventLoop(ecosystem.clock.now, ecosystem.advance_to)
     batch: list[ScanObservation] = []
-
-    def one_grab(due: float, rank: int, name: str):
-        """Continuation for one scheduled grab: park until its window
-        tick, then run the grab to completion."""
-        yield Wait.until(due)
+    for tick, (rank, name) in enumerate(
+        pair for _ in range(config.connections_per_domain) for pair in domains
+    ):
+        ecosystem.advance_to(max(start + tick * step, clock.now()))
         batch.append(
             grabber.grab(
                 name,
@@ -90,21 +81,11 @@ def sweep(
                 offer_tickets=config.offer_tickets,
             )
         )
-
-    exhausted = False
-    while not exhausted:
-        admitted = 0
-        for tick, rank, name in schedule:
-            loop.spawn(one_grab(start + tick * step, rank, name))
-            admitted += 1
-            if admitted >= window:
-                break
-        else:
-            exhausted = True
-        if admitted:
-            loop.run()
+        if len(batch) >= window:
             flush(batch)
             batch = []
+    if batch:
+        flush(batch)
     return observations
 
 

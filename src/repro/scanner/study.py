@@ -76,12 +76,12 @@ class StudyConfig:
     shards: int = 1
     workers: int = 1
     stream_dir: Optional[str] = None
-    # Event-driven scan core (see docs/SCALING.md).  ``concurrency`` is
-    # the event-loop admission batch size per shard — execution-only,
-    # like ``workers``: it bounds buffered observations per flush and
-    # never changes output bytes.  ``oracle`` runs every grab over the
+    # Scan core (see docs/SCALING.md).  ``concurrency`` is the number
+    # of observations a sweep buffers per flush to the shard's writers —
+    # execution-only, like ``workers``: it bounds memory and never
+    # changes output bytes.  ``oracle`` runs every grab over the
     # record-layer exchange (real records and crypto) instead of the
-    # fast path, on the same event-loop sweep; output is identical.
+    # fast path, on the same sweep; output is identical.
     concurrency: int = 1024
     oracle: bool = False
     # Resilience knobs (see repro.faults).  ``chaos`` is a repro-chaos/1

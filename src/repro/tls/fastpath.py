@@ -1,4 +1,4 @@
-"""Fast handshakes for the event-driven scan core.
+"""Fast handshakes for the scan core.
 
 The record-layer exchange (``TLSClient.connect`` against
 ``TLSServer.accept``/``finish_*``) serializes real records, runs the

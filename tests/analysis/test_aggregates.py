@@ -206,7 +206,8 @@ _TRUST = {"kept.test": True, "unissued.test": False, "other.test": True,
 
 #: Each gated aggregate's output over GATE_ROWS alone: spans as
 #: ``{domain: [(identifier, first, last, observations)]}``, groups as
-#: member lists, support scans as their finalized dicts.
+#: member lists, support scans and rotation maps as their finalized
+#: dicts.
 GATE_EXPECTED = {
     "stek_spans": {"kept.test": [("k1", 0, 4, 3)], "other.test": [("k2", 1, 1, 1)]},
     "dhe_spans": {"kept.test": [("v1", 0, 4, 2)]},
@@ -222,6 +223,7 @@ GATE_EXPECTED = {
         "kept.test": {"w1": 1}, "unissued.test": {"w1": 1}, "other.test": {"v1": 1},
         "empty.test": {}}},
     "stek_groups": [["kept.test"], ["other.test"]],
+    "stek_rotation": {"kept.test": {0: "k1", 4: "k1", 2: "k1"}, "other.test": {1: "k2"}},
     # DH groups read every key-exchange value, whatever its kind.
     "dh_groups": [["kept.test", "other.test", "unissued.test"]],
 }
@@ -231,6 +233,7 @@ def _gate_output(output):
     if isinstance(output, dict) and "tallies" not in output:
         return {domain: [(span.identifier, span.first_day, span.last_day,
                           span.observations) for span in entry.spans]
+                if hasattr(entry, "spans") else entry
                 for domain, entry in output.items()}
     if hasattr(output, "groups"):
         return [sorted(group.domains) for group in output.groups]

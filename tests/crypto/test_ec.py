@@ -97,6 +97,10 @@ def test_ecdh_agreement(curve):
     rng = DeterministicRandom(5)
     alice = ec.generate_keypair(curve, rng)
     bob = ec.generate_keypair(curve, rng)
+    for pair in (alice, bob):
+        assert 1 <= pair.private < curve.n
+        assert ec.is_on_curve(curve, pair.public)
+        assert pair.public == ec.scalar_mult(curve, pair.private, ec.base_point(curve))
     assert alice.shared_secret(bob.public) == bob.shared_secret(alice.public)
     assert alice.shared_secret_bytes(bob.public) == bob.shared_secret_bytes(alice.public)
 

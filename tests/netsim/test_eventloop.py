@@ -2,9 +2,9 @@
 
 The loop's three documented invariants — global (due, sequence)
 ordering, every yield through the heap, and a clock that never rewinds
-— are what make the event-driven scanner byte-identical to the blocking
-oracle, so they each get a direct test here rather than relying only on
-the end-to-end record-identity suite.
+— are what make the interleaved resumption probes a pure function of
+their schedule, so they each get a direct test here rather than relying
+only on the end-to-end record-identity suite.
 """
 
 import doctest
@@ -228,15 +228,15 @@ def test_task_exception_propagates():
 def test_interleaving_independent_of_admission_batch():
     """Same schedule, different admission grouping, same resume order.
 
-    This is the loop-level version of the scanner's concurrency
-    independence: whether tasks are spawned all at once or in chunks,
-    the (due, sequence) order — and therefore the log — is identical as
-    long as the waits themselves are.
+    Whether tasks are spawned all at once or in chunks, the (due,
+    sequence) order — and therefore the log — is identical as long as
+    the waits themselves are: the loop's order depends on the schedule
+    alone, never on how many tasks are in flight.
     """
     def run_with_batch(batch):
         clock, loop = make_loop()
         log = []
-        # Non-decreasing due times, like the sweep's schedule ticks.
+        # Non-decreasing due times, like the probes' stagger steps.
         schedule = [(i * 0.5, i) for i in range(12)]
 
         def task(due, i):

@@ -1,22 +1,21 @@
 """Fast path vs the record-layer oracle: record identity.
 
-The event-driven fast path (``fastpath`` + ``EventLoop`` pumping) is
-only admissible because it changes NOTHING about study output — not
-under chaos, not at any concurrency, not at any worker count.  This
-suite runs the same chaos-laden study through every execution shape and
+The fast path (``fastpath``) is only admissible because it changes
+NOTHING about study output — not under chaos, not at any concurrency,
+not at any worker count.  This suite runs the same chaos-laden study through every execution shape and
 pins byte-for-byte dataset equality plus merged-metric equality:
 
-* ``oracle=True`` (record-layer exchange for every grab, on the same
-  event-loop sweep) vs the default fast path;
-* ``concurrency`` 1, 64, and 4096 (admission batch size must be
+* ``oracle=True`` (record-layer exchange for every grab, in the same
+  sweep) vs the default fast path;
+* ``concurrency`` 1, 64, and 4096 (flush batch size must be
   invisible);
-* ``workers`` 1, 2, and 4 (process pool must be invisible — the event
-  loop runs per shard, inside each worker).
+* ``workers`` 1, 2, and 4 (process pool must be invisible — sweeps
+  run per shard, inside each worker).
 
 Chaos + retry + breaker are enabled throughout so the equivalence
 covers fault-impaired connections (a reset or a truncated first flight,
 which the fast path injects at the same flight boundary as the oracle)
-and retry backoff advancing virtual time from inside a pumped task.
+and retry backoff advancing virtual time past the next sweep tick.
 """
 
 import hashlib

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.crypto.rng import DeterministicRandom
+from repro.faults.retry import RetryPolicy
 from repro.netsim.clock import HOUR
 from repro.scanner import SweepConfig, ZGrabber, sweep, thirty_minute_scan
 
-#: Small enough that the larger sweeps below span several admission batches.
+#: Small enough that the larger sweeps below span several flush batches.
 CONCURRENCY = 16
 
 
@@ -76,3 +77,40 @@ def test_thirty_minute_scan_duration(grabber):
     )
     assert len(observations) == 25
     assert ecosystem.clock.now() - start <= 30 * 60 + 1
+
+
+def test_retry_backoff_past_the_next_tick_delays_it(small_ecosystem_factory):
+    """A grab never starts before the clock: when one grab's retry
+    backoff (2 s + 4 s) runs past the next 1-s tick, the next grab
+    starts when the backoff ends.  Flushes hold at most ``concurrency``
+    observations and concatenate to schedule order."""
+    ecosystem = small_ecosystem_factory(population=320, failure_rate=0.0)
+    dark = next(d for d in ecosystem.active_domains(0) if not d.https and d.ips)
+    served = [(rank, name) for rank, name in ecosystem.alexa_list()
+              if name != dark.name][:9]
+    domains = [(0, dark.name)] + served
+    grabber = ZGrabber(ecosystem, DeterministicRandom(5),
+                       retry=RetryPolicy(max_attempts=3))
+    clock = ecosystem.clock
+    start = clock.now()
+    ends = []
+    grab = grabber.grab
+
+    def grab_and_note_end(*args, **kwargs):
+        observation = grab(*args, **kwargs)
+        ends.append(clock.now() - start)
+        return observation
+
+    grabber.grab = grab_and_note_end
+    batches = []
+    sweep(grabber, domains, SweepConfig(window_seconds=len(domains)),
+          concurrency=3, sink=batches.append)
+
+    observations = [o for batch in batches for o in batch]
+    assert [len(batch) for batch in batches] == [3, 3, 3, 1]
+    assert [(o.rank, o.domain) for o in observations] == domains
+    assert grabber.retries == 2
+    starts = [o.timestamp - start for o in observations]
+    assert starts[:2] == [0.0, 6.0]
+    assert starts == [max(float(tick), ends[tick - 1] if tick else 0.0)
+                      for tick in range(len(domains))]

@@ -4,7 +4,7 @@
 ``_make_iterencode``; CPython runs its C encoder only for ``json.dumps``
 without ``indent``.  Both produce the same bytes, so every unindented
 write uses ``fh.write(json.dumps(obj))``.  Indented dumps (manifests,
-profiles, bench reports) are small human-readable files and may stream.
+profiles) are small human-readable files and may stream.
 Shard checkpoints, whose event logs run to megabytes, encode one piece
 at a time with ``json.dumps`` instead.
 """
