@@ -315,7 +315,6 @@ def cmd_study(args) -> int:
             profile=args.profile,
         )
     except StudyAborted as exc:
-        live.study_aborted(str(exc))
         status.close()
         print(f"error: {exc}", file=sys.stderr)
         print(f"partial checkpoint kept at {exc.checkpoint_dir}",

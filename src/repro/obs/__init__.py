@@ -9,14 +9,17 @@ Cooperating layers (see DESIGN.md §8 and §11):
   memory, cache effectiveness and, with ``--profile``, where the time
   went), and its human / Prometheus renderings (``repro stats``);
 * :mod:`repro.obs.events` — the structured JSONL event log
-  (``repro-events/1``) a live run streams to disk;
-* :mod:`repro.obs.progress` — shard-day progress/ETA tracking behind
-  ``/progress`` and the status line drawn from it;
+  (``repro-events/1``): the one stream by which a running shard
+  reports, and the file a live run writes it to;
+* :mod:`repro.obs.progress` — shard-day progress/ETA folded from that
+  stream, behind ``/progress`` and the status line drawn from it;
 * :mod:`repro.obs.exporter` — the live plane, the one observer of a
-  running study: progress (also handed to an ``on_progress``
-  callable), in-run HTTP exposition (``/metrics``, ``/progress``,
-  ``/healthz``, ``/events``) plus the cross-process snapshot-delta
-  spool;
+  running study: it takes the event stream (each shard's per-day
+  pushes of records and metric deltas, through a spool directory
+  from pool workers) and turns it into progress (also handed to an
+  ``on_progress`` callable), checkpointed shard records, the event
+  file and in-run HTTP exposition (``/metrics``, ``/progress``,
+  ``/healthz``, ``/events``);
 * :mod:`repro.obs.profiling` — opt-in phase timers, slowest-grab
   tracking, and per-shard cProfile aggregation into the manifest's
   ``profile`` section.

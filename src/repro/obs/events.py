@@ -11,8 +11,9 @@ Two halves, mirroring the metrics design:
   the **emitter** side — a bounded in-memory buffer that instruments
   append to.  It is off by default and costs one flag check per call
   when disabled, so hot-ish paths (retry loops, fault injection) can
-  emit unconditionally.  Shard workers drain their buffer into the
-  ``ShardResult`` they ship back to the engine.
+  emit unconditionally.  A shard observed by a live plane drains it at
+  the end of every study day into that day's push (see
+  :func:`repro.scanner.engine.run_shard`).
 
 * :class:`EventWriter` / :class:`OrderedShardWriter` are the **file**
   side, owned by the parent process.  The ordered writer is a reorder
@@ -34,7 +35,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Iterable
+from typing import Callable, Iterable
 
 SCHEMA = "repro-events/1"
 
@@ -45,8 +46,14 @@ LEVELS = ("debug", "info", "warning", "error")
 #: Everything else in an event record must be deterministic.
 VOLATILE_FIELDS = ("ts", "pid", "elapsed_s", "seconds", "eta_s", "workers")
 
-#: Default emitter capacity (per shard run; oldest events drop first).
+#: Default capacity of a shard's event buffer (oldest events drop first).
 DEFAULT_CAPACITY = 50_000
+
+
+def event_record(event: str, level: str = "info", **fields) -> dict:
+    """One event record stamped with the current wall clock."""
+    return {"event": event, "level": level, "ts": round(time.time(), 6),
+            **fields}
 
 
 class EventLog:
@@ -70,8 +77,7 @@ class EventLog:
             return
         if level not in LEVELS:
             raise ValueError(f"unknown event level {level!r} (use one of {LEVELS})")
-        record = {"event": event, "level": level, "ts": round(time.time(), 6)}
-        record.update(fields)
+        record = event_record(event, level, **fields)
         if len(self._buffer) == self._buffer.maxlen:
             self.dropped += 1
         self._buffer.append(record)
@@ -139,23 +145,24 @@ class OrderedShardWriter:
     ``0..k-1`` has been flushed, which makes the on-disk order (and so
     the assigned ``seq`` numbers) independent of worker scheduling
     while still streaming each batch as soon as it is eligible.
+    ``write`` takes one batch, e.g. :meth:`EventWriter.write_many`.
     """
 
-    def __init__(self, writer: EventWriter) -> None:
-        self._writer = writer
-        self._pending: dict[int, list[dict]] = {}
+    def __init__(self, write: Callable[[Iterable[dict]], None]) -> None:
+        self._write = write
+        self._pending: dict[int, Iterable[dict]] = {}
         self._next = 0
 
-    def add_shard(self, shard_id: int, records: list[dict]) -> None:
-        self._pending[shard_id] = list(records)
+    def add_shard(self, shard_id: int, records: Iterable[dict]) -> None:
+        self._pending[shard_id] = records
         while self._next in self._pending:
-            self._writer.write_many(self._pending.pop(self._next))
+            self._write(self._pending.pop(self._next))
             self._next += 1
 
     def flush_all(self) -> None:
         """Flush any still-held batches in shard order (abort path)."""
         for shard_id in sorted(self._pending):
-            self._writer.write_many(self._pending.pop(shard_id))
+            self._write(self._pending.pop(shard_id))
             self._next = max(self._next, shard_id + 1)
 
 
@@ -290,6 +297,7 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "EventLog",
     "EVENTS",
+    "event_record",
     "EventWriter",
     "OrderedShardWriter",
     "load_events",

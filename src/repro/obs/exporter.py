@@ -1,33 +1,38 @@
 """The live observability plane: in-run HTTP exposition + event log.
 
-PR 3's telemetry is post-hoc — manifest and metrics land on disk after
-the study exits.  This module makes the same registry data visible
+The run manifest and metrics are post-hoc: they land on disk after the
+study exits.  This module makes the same registry data visible
 *while the study runs*:
 
 * :class:`ObservabilityServer` — a stdlib ``ThreadingHTTPServer`` on a
   daemon thread serving ``/metrics`` (Prometheus text),
   ``/progress`` (JSON), ``/healthz``, and ``/events`` (recent ring).
 
-* :class:`LivePlane` — the one observer of a running study, the bundle
-  the engine talks to: a :class:`~repro.obs.progress.ProgressTracker`
-  (whose snapshots also go to an optional ``on_progress`` callable,
-  the CLI's stderr status line), a merged live metrics snapshot fed by
-  per-day ``snapshot_delta`` pushes, the structured event log writer,
-  and (optionally) the HTTP server on top.
+* :class:`LivePlane` — the one observer of a running study.  It takes
+  one stream of event records (the engine's own, and each running
+  shard's per-day pushes with a metrics ``snapshot_delta``) and turns
+  it into progress (a :class:`~repro.obs.progress.ProgressTracker`,
+  whose snapshots also go to an optional ``on_progress`` callable, the
+  CLI's stderr status line), the live metrics snapshot, each running
+  shard's records for its checkpoint, the event log, and (optionally)
+  the HTTP server on top.
 
-* :class:`SpoolPush` / :class:`SpoolPoller` — the cross-process push
-  protocol.  Pool workers can't call into the parent's plane, so each
-  worker drops per-day delta batches as atomic JSON files into a spool
-  directory; a parent poller thread folds them into the live snapshot
-  within ~0.2 s.  The spool is diagnostics-only: final merged metrics
-  still come from the per-shard full-run deltas merged in shard order,
-  so study output stays byte-identical whether the plane is on or off.
+* :class:`SpoolPush` / :class:`SpoolPoller` — the same push across the
+  process boundary.  Pool workers can't call into the parent's plane,
+  so each worker drops its pushes as atomic JSON files into a spool
+  directory; a parent poller thread hands them to the plane within
+  ~0.2 s, and the engine drains the spool itself before it checkpoints
+  a finished shard.  The pushed deltas are diagnostics-only: final
+  merged metrics still come from the per-shard full-run deltas merged
+  in shard order, so study output stays byte-identical whether the
+  plane is on or off.
 
 Threading model: HTTP handler threads only *read*, through three
-supplier callables that take the plane's lock, copy, and release; the
-engine (or the poller thread) is the only writer.  ``repro study``
-always builds a plane (it binds a port or opens an event file only when
-asked to); a library study without ``live`` builds none and pays zero.
+supplier callables that take a lock, copy, and release; the engine and
+the poller thread write through :meth:`LivePlane.take`.  ``repro
+study`` always builds a plane (it binds a port or opens an event file
+only when asked to); a library study without ``live`` builds none,
+leaves the event log off and pays zero.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 
+from .events import DEFAULT_CAPACITY, EventWriter, OrderedShardWriter
 from .events import SCHEMA as EVENTS_SCHEMA
-from .events import EventWriter, OrderedShardWriter
 from .metrics import merge_snapshots
 from .progress import ProgressTracker
 from .report import render_prometheus
@@ -51,6 +56,10 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: How many recent events the /events endpoint retains.
 RECENT_EVENTS = 256
+
+#: The records that close a shard's batch: its checkpoint was written
+#: (a run shard) or read back (a restored one).
+SHARD_CLOSED = ("checkpoint.write", "checkpoint.restored")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -149,10 +158,10 @@ class LivePlane:
 
     Construction is cheap and side-effect free; :meth:`start` opens
     the event file and binds the HTTP port, when asked for.  The caller
-    (CLI or test) owns the lifecycle — the engine only feeds hooks, all
-    of which are no-ops for the parts that weren't requested.
-    ``on_progress`` receives the ``/progress`` snapshot after every
-    progress update (study start, shard-day, shard, finish, abort).
+    (CLI or test) owns the lifecycle; the engine hands the plane
+    records through :meth:`take`.  ``on_progress`` receives the
+    ``/progress`` snapshot after every take that moved the progress
+    (study start, shard-day, shard end or restore, finish, abort).
     """
 
     def __init__(
@@ -167,17 +176,14 @@ class LivePlane:
         self.host = host
         self.on_progress = on_progress
         self.progress = ProgressTracker()
-        self._progress_lock = threading.Lock()
         self.server: Optional[ObservabilityServer] = None
         self._writer: Optional[EventWriter] = None
-        self._ordered: Optional[OrderedShardWriter] = None
+        self._ordered = OrderedShardWriter(self._write)
+        #: Each running shard's records, held until its checkpoint.
+        self._running: dict[int, deque] = {}
         self._recent: deque = deque(maxlen=RECENT_EVENTS)
         self._lock = threading.Lock()
         self._live: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-
-    @property
-    def events_enabled(self) -> bool:
-        return self.events_path is not None
 
     @property
     def url(self) -> Optional[str]:
@@ -188,7 +194,6 @@ class LivePlane:
     def start(self) -> "LivePlane":
         if self.events_path is not None:
             self._writer = EventWriter(self.events_path)
-            self._ordered = OrderedShardWriter(self._writer)
         if self.serve_port is not None:
             self.server = ObservabilityServer(
                 self.live_snapshot,
@@ -207,97 +212,56 @@ class LivePlane:
         if self._writer is not None:
             self._writer.close()
             self._writer = None
-            self._ordered = None
 
-    # -- event plumbing ----------------------------------------------------
+    # -- the engine's one hook ---------------------------------------------
 
-    def _write_now(self, event: str, level: str = "info", **fields) -> None:
-        """Write a parent-process event immediately (bypasses reorder)."""
-        record = {"event": event, "level": level,
-                  "ts": round(time.time(), 6), **fields}
-        if self._writer is not None:
-            record = self._writer.write(record)
-        self._recent.append(record)
+    def take(
+        self, records: list, delta: Optional[dict] = None,
+        shard: Optional[int] = None,
+    ) -> None:
+        """Take ``records`` (oldest first) and a metrics ``delta``.
 
-    def _track(self, update: Callable, *args, **kwargs) -> None:
-        """Apply one tracker update and hand the fresh snapshot to
-        ``on_progress``.  The spool poller thread and the engine's
-        thread both update the tracker; holding the lock across update,
-        snapshot and callback keeps their status lines from
-        interleaving and delivers snapshots in update order."""
-        with self._progress_lock:
-            update(*args, **kwargs)
-            if self.on_progress is not None:
+        Without ``shard`` the records are the study's own and are
+        written at once, after any shard batches still held.  With
+        ``shard`` they join that shard's buffer (capped at
+        :data:`~repro.obs.events.DEFAULT_CAPACITY`, oldest dropped
+        first); a trailing ``checkpoint.write``/``checkpoint.restored``
+        closes the buffer and releases it to the file in shard order.
+        The spool poller thread and the engine's thread both call this,
+        so everything, ``on_progress`` included, runs under one lock:
+        status lines never interleave and arrive in take order.
+        """
+        with self._lock:
+            if delta:
+                self._live = merge_snapshots([self._live, delta])
+            if shard is None:
+                self._ordered.flush_all()
+                self._write(records)
+            else:
+                buffer = self._running.setdefault(
+                    shard, deque(maxlen=DEFAULT_CAPACITY)
+                )
+                if records and records[-1]["event"] in SHARD_CLOSED:
+                    buffer.extend(records[:-1])
+                    del self._running[shard]
+                    self._ordered.add_shard(shard, [*buffer, records[-1]])
+                else:
+                    buffer.extend(records)
+            if self.progress.fold(records) and self.on_progress is not None:
                 self.on_progress(self.progress.snapshot())
 
-    # -- engine hooks ------------------------------------------------------
+    def shard_events(self, shard: int):
+        """The records a running shard has pushed so far (its checkpoint
+        stores them, so a resumed study replays them)."""
+        return self._running.get(shard, ())
 
-    def study_started(
-        self, shards: int, days: int, workers: int, resumed: bool = False
-    ) -> None:
-        self._track(self.progress.begin, shards, days)
-        self._write_now(
-            "study.start", shards=shards, days=days,
-            workers=workers, resumed=resumed,
-        )
-
-    def day_completed(
-        self, shard_id: int, day: int, days: int, grabs: int, delta: dict
-    ) -> None:
-        """One shard finished one study day (direct call or spool)."""
-        self._track(self.progress.day_completed, shard_id, day, days, grabs)
-        if delta:
-            with self._lock:
-                self._live = merge_snapshots([self._live, delta])
-
-    def record_shard(
-        self, result, checkpointed: bool = False, restored: bool = False
-    ) -> None:
-        """A shard finished (or was restored from its checkpoint)."""
-        self._track(
-            self.progress.shard_completed, result.shard_id,
-            getattr(result.stats, "days", None), restored=restored,
-        )
-        batch = list(getattr(result, "events", []) or [])
-        if restored:
-            self._recent.append({
-                "event": "checkpoint.restored", "level": "info",
-                "shard": result.shard_id,
-            })
-            batch.append({
-                "event": "checkpoint.restored", "level": "info",
-                "ts": round(time.time(), 6), "shard": result.shard_id,
-            })
-        elif checkpointed:
-            batch.append({
-                "event": "checkpoint.write", "level": "info",
-                "ts": round(time.time(), 6), "shard": result.shard_id,
-            })
-        if self._ordered is not None and batch:
-            self._ordered.add_shard(result.shard_id, batch)
-        for record in batch[-32:]:
+    def _write(self, records) -> None:
+        """Write records to the event file (which stamps ``seq``) and
+        show each, as written, in the ``/events`` ring."""
+        for record in records:
+            if self._writer is not None:
+                record = self._writer.write(record)
             self._recent.append(record)
-
-    def study_finished(self, stats) -> None:
-        if self._ordered is not None:
-            self._ordered.flush_all()
-        self._write_now(
-            "study.merge",
-            grabs=getattr(stats, "grabs", 0),
-            shards=getattr(stats, "shards", 0),
-        )
-        self._write_now(
-            "study.end",
-            grabs=getattr(stats, "grabs", 0),
-            elapsed_s=round(getattr(stats, "elapsed_seconds", 0.0), 3),
-        )
-        self._track(self.progress.finish)
-
-    def study_aborted(self, message: str) -> None:
-        if self._ordered is not None:
-            self._ordered.flush_all()
-        self._write_now("study.abort", level="error", message=str(message))
-        self._track(self.progress.finish, aborted=True)
 
     # -- suppliers (read side) ---------------------------------------------
 
@@ -314,18 +278,20 @@ class LivePlane:
             }
 
     def recent_events(self) -> list:
-        return list(self._recent)
+        with self._lock:
+            return list(self._recent)
 
 
 # -- cross-process push protocol -------------------------------------------
 
 
 class SpoolPush:
-    """Worker side: drop per-day delta batches as atomic JSON files.
+    """Worker side: drop each push of a shard as an atomic JSON file.
 
     File names are ``<shard:02d>-<seq:04d>.json`` so the poller can
     process each shard's pushes in order; writes go through a tmp file
-    + ``os.replace`` so a concurrent scan never reads a partial file.
+    + ``os.replace`` so a concurrent scan never reads a partial file,
+    and a push has landed once :meth:`push` returns.
     """
 
     def __init__(self, directory: str, shard_id: int) -> None:
@@ -333,13 +299,10 @@ class SpoolPush:
         self.shard_id = shard_id
         self._seq = 0
 
-    def push(self, day: int, days: int, grabs: int, delta: dict) -> None:
+    def push(self, events: list, delta: dict) -> None:
         name = f"{self.shard_id:02d}-{self._seq:04d}.json"
         self._seq += 1
-        payload = {
-            "shard": self.shard_id, "day": day, "days": days,
-            "grabs": grabs, "delta": delta,
-        }
+        payload = {"shard": self.shard_id, "events": events, "delta": delta}
         fd, tmp = tempfile.mkstemp(
             prefix=f".{name}.", dir=self.directory
         )
@@ -356,7 +319,13 @@ class SpoolPush:
 
 
 class SpoolPoller:
-    """Parent side: fold spooled pushes into the plane as they land."""
+    """Parent side: hand spooled pushes to the plane as they land.
+
+    The engine calls :meth:`drain` itself once a pooled shard's future
+    resolves, so the shard's last push is in the plane before its
+    checkpoint is written; a lock shared with the polling thread keeps
+    any file from being taken twice.
+    """
 
     def __init__(
         self, directory: str, plane: LivePlane, interval: float = 0.2
@@ -364,6 +333,7 @@ class SpoolPoller:
         self.directory = directory
         self.plane = plane
         self.interval = interval
+        self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -377,36 +347,30 @@ class SpoolPoller:
         while not self._stop.wait(self.interval):
             self.drain()
 
-    def drain(self) -> int:
-        """Process (and delete) every complete spool file present."""
-        try:
-            names = sorted(
-                name for name in os.listdir(self.directory)
-                if name.endswith(".json") and not name.startswith(".")
-            )
-        except OSError:
-            return 0
-        processed = 0
-        for name in names:
-            path = os.path.join(self.directory, name)
+    def drain(self) -> None:
+        """Take (and delete) every complete spool file present."""
+        with self._lock:
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            self.plane.day_completed(
-                payload.get("shard", 0),
-                payload.get("day", 0),
-                payload.get("days", 0),
-                payload.get("grabs", 0),
-                payload.get("delta", {}),
-            )
-            try:
-                os.unlink(path)
+                names = sorted(
+                    name for name in os.listdir(self.directory)
+                    if name.endswith(".json") and not name.startswith(".")
+                )
             except OSError:
-                pass
-            processed += 1
-        return processed
+                return
+            for name in names:
+                path = os.path.join(self.directory, name)
+                try:
+                    with open(path, "r", encoding="utf-8") as fh:
+                        payload = json.load(fh)
+                except (OSError, ValueError):
+                    continue
+                self.plane.take(
+                    payload["events"], payload["delta"], shard=payload["shard"]
+                )
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
 
     def stop(self) -> None:
         self._stop.set()

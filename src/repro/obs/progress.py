@@ -1,31 +1,34 @@
-"""Progress/ETA tracking for a running study (``repro-progress/1``).
+"""Progress/ETA of a running study (``repro-progress/1``), folded
+from its event records.
 
 The engine's unit of forward progress is the *shard-day*: a study of
-``S`` shards over ``D`` days completes exactly ``S × D`` of them, each
-reported by the shard's per-day callback.  :class:`ProgressTracker`
-counts completed shard-days (and whole shards, for resumed runs that
-skip straight to ``day D``), derives a completion fraction, and
-extrapolates an ETA from the observed rate.
+``S`` shards over ``D`` days completes exactly ``S × D`` of them.
+:class:`ProgressTracker` reads them off the event stream the live
+plane takes in: ``study.start`` sets the totals, each ``shard.day``
+completes one unit, ``shard.end`` completes its shard and all its
+days, ``checkpoint.restored`` does the same for a shard replayed from
+its checkpoint, and ``study.end``/``study.abort`` end the run.  From these it derives a completion fraction and extrapolates
+an ETA from the observed rate.
 
 The tracker is the single source of truth behind both renderings: the
 ``/progress`` JSON endpoint (:meth:`ProgressTracker.snapshot`) and the
 status line :func:`render_progress` draws from such a snapshot (the
 ``repro study`` stderr line and ``repro watch URL``).  It is
 thread-safe — the exporter's HTTP threads read snapshots while the
-engine's callbacks write.
+plane folds records in.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Optional
+from typing import Iterable, Optional
 
 SCHEMA = "repro-progress/1"
 
 
 class ProgressTracker:
-    """Counts shard-day completions; derives fraction, rate, and ETA."""
+    """Folds event records into shard-day counts, fraction, rate, ETA."""
 
     def __init__(self, clock=time.monotonic) -> None:
         self._lock = threading.Lock()
@@ -33,69 +36,54 @@ class ProgressTracker:
         self._state = "idle"
         self._started: Optional[float] = None
         self._finished: Optional[float] = None
-        self._shards_total = 0
-        self._days_per_shard = 0
-        self._shards_done = 0
-        self._day_units_done = 0
-        self._restored_units = 0
-        self._grabs = 0
-        #: Highest completed day per shard, to make day callbacks
-        #: idempotent (resume + live pushes may overlap).
+        self._begin(0, 0)
+
+    def _begin(self, shards: int, days: int) -> None:
+        self._shards_total = shards
+        self._days_per_shard = days
+        #: Completed days per shard; ``max`` keeps a repeated record
+        #: from counting twice.
         self._shard_days: dict[int, int] = {}
+        self._grabs: dict[int, int] = {}
+        self._ended: set[int] = set()
+        #: Shards replayed from a checkpoint: their days count toward
+        #: completion but not toward the rate, so the ETA reflects only
+        #: work done by *this* process; their grabs are not counted.
+        self._restored: set[int] = set()
 
-    # -- engine-facing callbacks ------------------------------------------
-
-    def begin(self, shards: int, days: int) -> None:
-        """Start the run (resumed shards arrive via shard_completed)."""
+    def fold(self, records: Iterable[dict]) -> bool:
+        """Fold ``records`` in order; True if any moved the progress."""
+        moved = False
         with self._lock:
-            self._state = "running"
-            self._started = self._clock()
-            self._finished = None
-            self._shards_total = shards
-            self._days_per_shard = days
-            self._shards_done = 0
-            self._day_units_done = 0
-            self._restored_units = 0
-            self._grabs = 0
-            self._shard_days = {}
-
-    def day_completed(
-        self, shard_id: int, day: int, days: int, grabs: int = 0
-    ) -> None:
-        """Shard ``shard_id`` finished study day ``day`` (0-based)."""
-        with self._lock:
-            done_before = self._shard_days.get(shard_id, 0)
-            done_now = max(done_before, day + 1)
-            self._shard_days[shard_id] = done_now
-            self._day_units_done += done_now - done_before
-            self._grabs += max(grabs, 0)
-
-    def shard_completed(
-        self,
-        shard_id: int,
-        days: Optional[int] = None,
-        restored: bool = False,
-    ) -> None:
-        """Shard finished end to end (checkpointed / merged-ready).
-
-        ``restored`` marks shards replayed from a checkpoint: their day
-        units count toward completion but not toward the observed rate,
-        so the ETA reflects only work done by *this* process.
-        """
-        with self._lock:
-            days = days if days is not None else self._days_per_shard
-            done_before = self._shard_days.get(shard_id, 0)
-            self._shard_days[shard_id] = max(done_before, days)
-            added = max(days - done_before, 0)
-            self._day_units_done += added
-            if restored:
-                self._restored_units += added
-            self._shards_done += 1
-
-    def finish(self, aborted: bool = False) -> None:
-        with self._lock:
-            self._state = "aborted" if aborted else "done"
-            self._finished = self._clock()
+            for record in records:
+                event = record.get("event")
+                if event == "shard.day":
+                    shard = record["shard"]
+                    self._shard_days[shard] = max(
+                        self._shard_days.get(shard, 0), record["day"] + 1
+                    )
+                    self._grabs[shard] = (
+                        self._grabs.get(shard, 0) + max(record["grabs"], 0)
+                    )
+                elif event in ("shard.end", "checkpoint.restored"):
+                    shard = record["shard"]
+                    self._shard_days[shard] = self._days_per_shard
+                    self._ended.add(shard)
+                    if event == "checkpoint.restored":
+                        self._restored.add(shard)
+                        self._grabs.pop(shard, None)
+                elif event == "study.start":
+                    self._state = "running"
+                    self._started = self._clock()
+                    self._finished = None
+                    self._begin(record["shards"], record["days"])
+                elif event in ("study.end", "study.abort"):
+                    self._state = "done" if event == "study.end" else "aborted"
+                    self._finished = self._clock()
+                else:
+                    continue
+                moved = True
+        return moved
 
     # -- readers -----------------------------------------------------------
 
@@ -103,12 +91,13 @@ class ProgressTracker:
         """The ``/progress`` JSON document."""
         with self._lock:
             total_units = self._shards_total * self._days_per_shard
-            done_units = min(self._day_units_done, total_units)
+            done_units = min(sum(self._shard_days.values()), total_units)
             fraction = done_units / total_units if total_units else 0.0
             now = self._finished if self._finished is not None else self._clock()
             elapsed = (now - self._started) if self._started is not None else 0.0
             eta: Optional[float] = None
-            live_units = done_units - min(self._restored_units, done_units)
+            restored_units = len(self._restored) * self._days_per_shard
+            live_units = done_units - min(restored_units, done_units)
             if self._state == "running" and live_units > 0:
                 # done == total while still "running" is the merge/finalize
                 # window: remaining work is zero, so the ETA is too.
@@ -120,11 +109,11 @@ class ProgressTracker:
                 "state": self._state,
                 "shards": {
                     "total": self._shards_total,
-                    "completed": self._shards_done,
+                    "completed": len(self._ended),
                 },
                 "day_units": {"total": total_units, "completed": done_units},
                 "fraction": round(fraction, 6),
-                "grabs": self._grabs,
+                "grabs": sum(self._grabs.values()),
                 "elapsed_s": round(elapsed, 3),
                 "eta_s": round(eta, 3) if eta is not None else None,
             }

@@ -3,7 +3,8 @@
 Because each shard is a pure function of ``(study config, ecosystem
 config, shard_id, shard_count)``, checkpointing at shard granularity is
 enough for exact resume: a completed shard's records plus its
-:class:`~repro.scanner.engine.ShardResult` bookkeeping are saved under
+:class:`~repro.scanner.engine.ShardResult` bookkeeping (and, under a
+live plane, its event records) are saved under
 ``<stream_dir>/checkpoint/``, and a resumed run re-executes only the
 missing shards before merging as usual.  The merge removes the
 checkpoint directory along with the per-shard parts, so a finished
@@ -28,7 +29,7 @@ import json
 import os
 import shutil
 from dataclasses import asdict, is_dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 SCHEMA = "repro-checkpoint/1"
 RUN_NAME = "run.json"
@@ -155,8 +156,8 @@ class CheckpointStore:
                 out.append(int(name[len("shard-"):-len(".json")]))
         return out
 
-    def save_shard(self, result) -> None:
-        """Persist one completed ShardResult."""
+    def save_shard(self, result, events: Iterable[dict] = ()) -> None:
+        """Persist one completed ShardResult with its event records."""
         payload = {
             "schema": SCHEMA,
             "shard_id": result.shard_id,
@@ -167,14 +168,15 @@ class CheckpointStore:
             "metrics": result.metrics,
             "day_seconds": result.day_seconds,
             "elapsed_seconds": result.elapsed_seconds,
-            "events": result.events,
+            "events": events,
             "profile": result.profile,
         }
         os.makedirs(self.directory, exist_ok=True)
         self._write_json(f"shard-{result.shard_id:02d}.json", payload)
 
     def load_completed(self) -> dict:
-        """All checkpointed shards as ``{shard_id: ShardResult}``."""
+        """All checkpointed shards as ``{shard_id: (ShardResult,
+        events)}``, ``events`` being the records its checkpoint stored."""
         from .engine import ShardResult, StudyStats  # local import cycle
 
         results = {}
@@ -196,9 +198,8 @@ class CheckpointStore:
                 elapsed_seconds=payload["elapsed_seconds"],
                 # .get(): checkpoints from before the live plane lack
                 # these; a "spans" key from older checkpoints is ignored.
-                events=payload.get("events", []),
                 profile=payload.get("profile", {}),
-            )
+            ), payload.get("events", [])
         return results
 
     # -- helpers -----------------------------------------------------------

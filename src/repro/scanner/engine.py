@@ -48,7 +48,7 @@ from ..faults.plan import ImpairmentPlan
 from ..hosting.ecosystem import Ecosystem
 from ..netsim.clock import DAY
 from ..obs import manifest as obs_manifest
-from ..obs.events import EVENTS
+from ..obs.events import EVENTS, event_record
 from ..obs.metrics import (
     METRICS,
     cache_stats,
@@ -155,9 +155,6 @@ class ShardResult:
     day_seconds: list = field(default_factory=list)
     #: Wall-clock of the whole shard run.
     elapsed_seconds: float = 0.0
-    #: Structured events drained from this shard's process (see
-    #: repro.obs.events) — empty unless the live plane's event log is on.
-    events: list = field(default_factory=list)
     #: Profiling snapshot (phase timers, slowest grabs, pstats dump
     #: name) — empty unless the study ran with ``profile``.
     profile: dict = field(default_factory=dict)
@@ -187,8 +184,7 @@ def run_shard(
     shard_id: int,
     stream_dir: str,
     registry: Optional[ExperimentRegistry] = None,
-    live_push: Optional[Callable[[int, int, int, dict], None]] = None,
-    events: bool = False,
+    push: Optional[Callable[[list, dict], None]] = None,
     profile_dir: Optional[str] = None,
 ) -> ShardResult:
     """Run every registered experiment over shard ``shard_id`` of
@@ -199,11 +195,13 @@ def run_shard(
     owns ecosystem/shard pairing: ``ecosystem`` must be a fresh view for
     this shard (the engine builds one per shard when ``shards > 1``).
 
-    Hooks, all diagnostics-only (never output-affecting):
-    ``live_push(day, days, day_grabs, metrics_delta)`` fires after each
-    study day; ``events`` buffers structured events into the returned
-    result; ``profile_dir`` runs the shard under cProfile, dumps its
-    stats there and fills ``ShardResult.profile``.
+    Hooks, all diagnostics-only (never output-affecting): ``push``
+    turns the event log (:data:`~repro.obs.events.EVENTS`) on and is
+    the shard's one report to an observer.  Each study day ends with
+    ``push(events, metrics_delta)``: the day's records, ending in its
+    ``shard.day``, and the metrics since the last push; the last push
+    carries ``shard.end``.  ``profile_dir`` runs the shard under
+    cProfile, dumps its stats there and fills ``ShardResult.profile``.
     """
     registry = registry if registry is not None else default_registry(config)
     shard_count = config.shards
@@ -213,7 +211,7 @@ def run_shard(
     # process; workers=N does not).  Output-safe: the caches are keyed
     # by value, so clearing only costs recomputation.
     reset_process_caches()
-    if events:
+    if push is not None:
         EVENTS.enable()
         EVENTS.drain()  # discard leftovers from a reused process
         EVENTS.emit("shard.start", shard=shard_id, shards=shard_count)
@@ -292,19 +290,18 @@ def run_shard(
                 "experiment.grabs", experiment=experiment.name
             ).inc(day_grabs)
         day_seconds.append(round(time.perf_counter() - day_started, 6))
-        day_total_grabs = grabber.grabs - day_grabs_start
-        if events:
+        if push is not None:
             EVENTS.emit(
                 "shard.day", shard=shard_id, day=day, days=config.days,
-                grabs=day_total_grabs, seconds=day_seconds[-1],
+                grabs=grabber.grabs - day_grabs_start,
+                seconds=day_seconds[-1],
             )
-        if live_push is not None:
             # Diagnostics-only: the delta feeds the parent's live
             # gauges; the merged output still comes from the full-run
             # delta below, so pushes never affect final metrics.
             delta = METRICS.snapshot_delta(push_base)
             push_base = METRICS.snapshot()
-            live_push(day, config.days, day_total_grabs, delta)
+            push(EVENTS.drain(), delta)
 
     with PROFILER.phase("finalize"):
         for experiment in registry:
@@ -346,13 +343,12 @@ def run_shard(
         profile = PROFILER.snapshot()
         if pstats_name is not None:
             profile["pstats"] = pstats_name
-    if events:
+    if push is not None:
         EVENTS.emit(
             "shard.end", shard=shard_id, grabs=stats.grabs,
             retries=grabber.retries,
         )
-    shard_events = EVENTS.drain() if events else []
-    if events:
+        push(EVENTS.drain(), METRICS.snapshot_delta(push_base))
         EVENTS.disable()
     return ShardResult(
         shard_id=shard_id,
@@ -363,7 +359,6 @@ def run_shard(
         metrics=METRICS.snapshot_delta(metrics_base),
         day_seconds=day_seconds,
         elapsed_seconds=round(time.perf_counter() - shard_started, 6),
-        events=shard_events,
         profile=profile,
     )
 
@@ -374,28 +369,27 @@ def _shard_worker(args) -> ShardResult:
     Rebuilding from ``EcosystemConfig`` (rather than pickling a live
     ecosystem) keeps the task payload tiny and guarantees every shard's
     view is the same deterministic function of the seed.  ``spool_dir``
-    carries the live plane's push protocol across the process boundary
-    (see :class:`repro.obs.exporter.SpoolPush`).
+    carries the shard's pushes across the process boundary (see
+    :class:`repro.obs.exporter.SpoolPush`).
     """
     from ..hosting import build_ecosystem
 
     (
         ecosystem_config, study_config, shard_id, stream_dir,
-        spool_dir, events, profile_dir,
+        spool_dir, profile_dir,
     ) = args
-    live_push = None
+    push = None
     if spool_dir is not None:
         from ..obs.exporter import SpoolPush
 
-        live_push = SpoolPush(spool_dir, shard_id).push
+        push = SpoolPush(spool_dir, shard_id).push
     ecosystem = build_ecosystem(ecosystem_config)
     return run_shard(
         ecosystem,
         study_config,
         shard_id=shard_id,
         stream_dir=stream_dir,
-        live_push=live_push,
-        events=events,
+        push=push,
         profile_dir=profile_dir,
     )
 
@@ -450,11 +444,16 @@ class StudyEngine:
         immediately instead of letting siblings finish and checkpoint.
 
         ``live`` accepts a :class:`repro.obs.exporter.LivePlane` (or
-        anything with its hook surface), the one observer of a running
-        study: the engine feeds it study / shard / day completions and
-        metric deltas while running.  The caller owns the plane's
-        lifecycle (start/stop) — on :class:`StudyAborted` the caller
-        should invoke ``live.study_aborted``.  ``profile`` runs every
+        anything with its ``take``/``shard_events`` surface), the one
+        observer of a running study, and turns the event log on: the
+        engine hands it one stream of event records — ``study.start``,
+        each shard's per-day pushes with their metric deltas, the
+        ``checkpoint.write``/``checkpoint.restored`` that closes each
+        shard, then ``study.merge`` + ``study.end`` or, before raising
+        :class:`StudyAborted`, ``study.abort``.  Each checkpoint stores
+        its shard's records from the plane, so a resumed run replays
+        them.  The caller owns the plane's lifecycle (start/stop).
+        ``profile`` runs every
         shard under cProfile, dumps the stats under
         ``<telemetry_dir>/profile/`` and merges the summary into the
         manifest's ``profile`` section; it needs ``telemetry_dir``.
@@ -485,7 +484,7 @@ class StudyEngine:
         )
         store = CheckpointStore(stream_dir)
         try:
-            completed: dict[int, ShardResult] = {}
+            restored: dict[int, tuple[ShardResult, list]] = {}
             fingerprint = checkpoint_fingerprint(
                 config, getattr(ecosystem, "config", None)
             )
@@ -495,34 +494,44 @@ class StudyEngine:
                         f"no checkpoint under {store.directory}; nothing to resume"
                     )
                 store.validate(fingerprint)
-                completed = store.load_completed()
+                restored = store.load_completed()
             else:
                 store.reset(fingerprint)
             todo = [
                 shard_id for shard_id in range(config.shards)
-                if shard_id not in completed
+                if shard_id not in restored
             ]
 
             if live is not None:
-                live.study_started(
-                    shards=config.shards, days=config.days,
-                    workers=config.workers, resumed=bool(completed),
-                )
-                for shard_id in sorted(completed):
-                    live.record_shard(completed[shard_id], restored=True)
-            events = live is not None and live.events_enabled
+                live.take([event_record(
+                    "study.start", shards=config.shards, days=config.days,
+                    workers=config.workers, resumed=bool(restored),
+                )])
+            completed: list[ShardResult] = []
+            for shard_id in sorted(restored):
+                result, events = restored.pop(shard_id)
+                completed.append(result)
+                if live is not None:
+                    live.take([*events, event_record(
+                        "checkpoint.restored", shard=shard_id,
+                    )], shard=shard_id)
 
             results, failures = self._run_shards(
                 ecosystem, todo, store, fail_fast=fail_fast,
-                live=live, events=events, profile_dir=profile_dir,
+                live=live, profile_dir=profile_dir,
             )
             if failures:
                 # A private directory is removed below, so nothing in it
                 # can be resumed.
-                raise self._aborted(
+                aborted = self._aborted(
                     results, failures, None if private else store
-                ) from failures[0][1]
-            results += completed.values()
+                )
+                if live is not None:
+                    live.take([event_record(
+                        "study.abort", level="error", message=str(aborted),
+                    )])
+                raise aborted from failures[0][1]
+            results += completed
             dataset, stats = self._merge(results, stream_dir)
             store.clear()
         except BaseException:
@@ -535,7 +544,15 @@ class StudyEngine:
             weakref.finalize(dataset, shutil.rmtree, stream_dir, True)
         stats.elapsed_seconds = time.perf_counter() - run_start
         if live is not None:
-            live.study_finished(stats)
+            live.take([
+                event_record(
+                    "study.merge", grabs=stats.grabs, shards=stats.shards,
+                ),
+                event_record(
+                    "study.end", grabs=stats.grabs,
+                    elapsed_s=round(stats.elapsed_seconds, 3),
+                ),
+            ])
         if telemetry_dir is not None:
             self._write_telemetry(
                 telemetry_dir, ecosystem, results, stats, profile_dir
@@ -551,7 +568,6 @@ class StudyEngine:
         store: CheckpointStore,
         fail_fast: bool = False,
         live=None,
-        events: bool = False,
         profile_dir: Optional[str] = None,
     ) -> tuple[list[ShardResult], list[tuple[int, BaseException]]]:
         """Execute the shards in ``todo``, checkpointing each completed
@@ -573,11 +589,15 @@ class StudyEngine:
         failures: list[tuple[int, BaseException]] = []
 
         def record(result: ShardResult) -> None:
-            store.save_shard(result)
+            shard_id = result.shard_id
+            store.save_shard(
+                result, live.shard_events(shard_id) if live is not None else ()
+            )
             results.append(result)
             pending.set(len(todo) - len(results) - len(failures))
             if live is not None:
-                live.record_shard(result, checkpointed=True)
+                live.take([event_record("checkpoint.write", shard=shard_id)],
+                          shard=shard_id)
 
         if min(config.workers, len(todo)) <= 1:
             from ..hosting import build_ecosystem
@@ -597,11 +617,10 @@ class StudyEngine:
                         shard_id=shard_id,
                         stream_dir=subdir(shard_id),
                         registry=self.registry,
-                        live_push=(
-                            functools.partial(live.day_completed, shard_id)
+                        push=(
+                            functools.partial(live.take, shard=shard_id)
                             if live is not None else None
                         ),
-                        events=events,
                         profile_dir=profile_dir,
                     )
                 except Exception as exc:
@@ -633,7 +652,7 @@ class StudyEngine:
                 futures = {
                     pool.submit(_shard_worker, (
                         ecosystem.config, config, shard_id,
-                        subdir(shard_id), spool_dir, events, profile_dir,
+                        subdir(shard_id), spool_dir, profile_dir,
                     )): shard_id
                     for shard_id in todo
                 }
@@ -651,6 +670,10 @@ class StudyEngine:
                                     leftover.cancel()
                                 outstanding = set()
                             continue
+                        if poller is not None:
+                            # The worker's last push landed before it
+                            # returned: take it before the checkpoint.
+                            poller.drain()
                         record(future.result())
         finally:
             if poller is not None:

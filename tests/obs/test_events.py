@@ -99,7 +99,7 @@ class TestWriterOrdering:
     def test_ordered_writer_flushes_in_shard_order(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         writer = EventWriter(path)
-        ordered = OrderedShardWriter(writer)
+        ordered = OrderedShardWriter(writer.write_many)
         # Shard 1 finishes first; nothing may be written until shard 0.
         ordered.add_shard(1, [{"event": "shard.end", "level": "info",
                                "ts": 1.0, "shard": 1}])

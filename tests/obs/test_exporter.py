@@ -15,11 +15,19 @@ import time
 import urllib.error
 import urllib.request
 
+import pytest
+
 from helpers import parse_prometheus, to_prom_snapshot
 
 from repro.hosting import EcosystemConfig, build_ecosystem
+from repro.obs.events import event_record, load_events
 from repro.obs.exporter import LivePlane, ObservabilityServer
-from repro.scanner import StudyConfig, run_study_with_stats
+from repro.scanner import (
+    DailySweepExperiment,
+    StudyAborted,
+    StudyConfig,
+    run_study_with_stats,
+)
 
 SMALL_POPULATION = 320
 BENCH_SEED = 2016
@@ -191,10 +199,12 @@ class TestOnProgress:
             inside.pop()
 
         plane = LivePlane(on_progress=slow)
-        plane.study_started(shards=2, days=40, workers=2)
+        plane.take([event_record("study.start", shards=2, days=40)])
         threads = [
             threading.Thread(target=lambda shard=shard: [
-                plane.day_completed(shard, day, 40, 1, {})
+                plane.take([event_record(
+                    "shard.day", shard=shard, day=day, days=40, grabs=1,
+                )], {}, shard=shard)
                 for day in range(40)
             ])
             for shard in range(2)
@@ -205,3 +215,53 @@ class TestOnProgress:
             thread.join()
         assert not overlaps
         assert seen == list(range(81))
+
+
+class TestEventsRing:
+    """``/events`` shows the records the plane wrote, each once."""
+
+    def test_resumed_study_lists_each_restored_shard_once(
+        self, tmp_path, monkeypatch
+    ):
+        config = StudyConfig(
+            days=2,
+            seed=404,
+            run_probes=False,
+            run_crossdomain=False,
+            run_support_scans=False,
+            shards=3,
+            stream_dir=str(tmp_path / "run"),
+        )
+        ecosystem = build_ecosystem(
+            EcosystemConfig(population=SMALL_POPULATION, seed=BENCH_SEED)
+        )
+        sweep = DailySweepExperiment.run_day
+
+        def fail_shard_2(self, ctx, day):
+            if ctx.shard_id == 2:
+                raise RuntimeError("injected shard failure")
+            return sweep(self, ctx, day)
+
+        monkeypatch.setattr(DailySweepExperiment, "run_day", fail_shard_2)
+        plane = LivePlane(events_path=str(tmp_path / "failed.jsonl")).start()
+        try:
+            with pytest.raises(StudyAborted):
+                run_study_with_stats(ecosystem, config, live=plane)
+        finally:
+            plane.stop()
+        monkeypatch.undo()
+
+        path = str(tmp_path / "resumed.jsonl")
+        plane = LivePlane(events_path=path).start()
+        try:
+            run_study_with_stats(ecosystem, config, resume=True, live=plane)
+        finally:
+            plane.stop()
+        ring = plane.recent_events()
+        restored = [
+            record["shard"] for record in ring
+            if record["event"] == "checkpoint.restored"
+        ]
+        assert restored == [0, 1]
+        # The whole small log fits the ring, record for record.
+        assert ring == load_events(path)[1:]

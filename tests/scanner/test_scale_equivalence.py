@@ -80,7 +80,7 @@ def _dataset_digest(directory) -> str:
 
 #: label -> StudyConfig overrides
 SHAPES = {
-    "event": {},
+    "fast": {},
     "oracle": {"oracle": True},
     "conc1": {"concurrency": 1},
     "conc64": {"concurrency": 64},
@@ -112,21 +112,21 @@ class TestScaleEquivalence:
             }
         return out
 
-    def test_event_path_is_record_identical_to_oracle(self, runs):
-        assert runs["event"]["digest"] == runs["oracle"]["digest"]
+    def test_fast_path_is_record_identical_to_oracle(self, runs):
+        assert runs["fast"]["digest"] == runs["oracle"]["digest"]
 
     @pytest.mark.parametrize("label", ["conc1", "conc64", "conc4096"])
     def test_concurrency_does_not_change_output(self, runs, label):
-        assert runs[label]["digest"] == runs["event"]["digest"]
+        assert runs[label]["digest"] == runs["fast"]["digest"]
 
     @pytest.mark.parametrize("label", ["workers2", "workers4"])
     def test_workers_do_not_change_output(self, runs, label):
-        assert runs[label]["digest"] == runs["event"]["digest"]
+        assert runs[label]["digest"] == runs["fast"]["digest"]
 
     #: Counters that measure *work*, not output: the fast path skips
     #: shared-secret derivation and key-exchange params serialization
     #: (nothing observable depends on them), so these caches are never
-    #: consulted on the event path.  Everything else must agree exactly.
+    #: consulted on the fast path.  Everything else must agree exactly.
     UNOBSERVABLE_CACHES = ("crypto.ec.shared_memo.", "tls.kex.params_cache.")
 
     def test_merged_metrics_match_oracle(self, runs):
@@ -135,7 +135,7 @@ class TestScaleEquivalence:
         # validations — must agree between the fast path and the
         # record-layer oracle, not just the dataset bytes.
         counters = {}
-        for label in ("event", "oracle"):
+        for label in ("fast", "oracle"):
             path = os.path.join(runs[label]["telemetry"], "metrics.json")
             with open(path) as fh:
                 counters[label] = {
@@ -143,23 +143,23 @@ class TestScaleEquivalence:
                     for key, value in json.load(fh)["counters"].items()
                     if not key.startswith(self.UNOBSERVABLE_CACHES)
                 }
-        assert counters["event"] == counters["oracle"]
+        assert counters["fast"] == counters["oracle"]
 
-    def test_chaos_retry_and_breaker_engaged_in_event_path(self, runs):
+    def test_chaos_retry_and_breaker_engaged_in_fast_path(self, runs):
         """The equivalence is not vacuous: faults fired, retries burned
 
-        extra grabs, and virtual-time backoff ran inside the event loop
+        extra grabs, and virtual-time backoff ran on the fast path
         (latency faults + backoff advance the clock mid-sweep).
         """
-        path = os.path.join(runs["event"]["telemetry"], "metrics.json")
+        path = os.path.join(runs["fast"]["telemetry"], "metrics.json")
         with open(path) as fh:
             counters = json.load(fh)["counters"]
         for kind in ("reset", "truncate"):
             assert any(
                 key.startswith("faults.injected") and kind in key for key in counters
             ), f"no {kind} fault fired"
-        stats = runs["event"]["stats"]
-        dataset = runs["event"]["dataset"]
+        stats = runs["fast"]["stats"]
+        dataset = runs["fast"]["dataset"]
         recorded = sum(
             len(getattr(dataset, name))
             for name in ("ticket_daily", "dhe_daily", "ecdhe_daily")

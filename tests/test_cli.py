@@ -410,8 +410,8 @@ def test_default_study_killed_after_a_checkpoint_resumes_identically(
 
     save_shard = CheckpointStore.save_shard
 
-    def save_then_die(self, result):
-        save_shard(self, result)
+    def save_then_die(self, result, *events):
+        save_shard(self, result, *events)
         raise _Killed
 
     killed = str(tmp_path / "killed")
@@ -447,6 +447,57 @@ def test_failing_single_shard_study_exits_3_with_resume_hint(
     assert "injected sweep failure" in err
     assert f"resume with: repro study --resume {stream}\n" in err
     assert "study.abort" in [record["event"] for record in load_events(events)]
+
+
+def _shard_records(path, shard):
+    """Shard ``shard``'s records of an event log, ``shard.start`` through
+    ``shard.end``, without their volatile fields."""
+    from repro.obs.events import load_events, strip_volatile
+
+    records = strip_volatile(load_events(path))
+    bounds = [
+        index for index, record in enumerate(records)
+        if record["event"] in ("shard.start", "shard.end")
+        and record["shard"] == shard
+    ]
+    assert len(bounds) == 2, bounds
+    return records[bounds[0]:bounds[1] + 1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resume_replays_checkpointed_events(tmp_path, monkeypatch, workers):
+    """Shard 1 fails after shard 0 is checkpointed; the resumed study's
+    event log replays shard 0's records from the checkpoint exactly as
+    an uninterrupted run logs them.  At ``--workers 2`` shard 0's
+    records reach the parent through the spool, so this also pins that
+    the engine takes the last spooled push before the checkpoint."""
+    from repro.scanner import DailySweepExperiment
+
+    args = ["study", "--days", "2", "--shards", "2", "--chaos", "7",
+            "--workers", str(workers), "-q"] + ECO_ARGS
+    clean = str(tmp_path / "clean.jsonl")
+    assert main(args + ["--out", str(tmp_path / "clean"),
+                        "--events", clean]) == 0
+
+    sweep = DailySweepExperiment.run_day
+
+    def fail_shard_1(self, ctx, day):
+        if ctx.shard_id == 1:
+            raise RuntimeError("injected shard failure")
+        return sweep(self, ctx, day)
+
+    out = str(tmp_path / "resumed")
+    monkeypatch.setattr(DailySweepExperiment, "run_day", fail_shard_1)
+    assert main(args + ["--out", out,
+                        "--events", str(tmp_path / "failed.jsonl")]) == 3
+    monkeypatch.undo()
+
+    resumed = str(tmp_path / "resumed.jsonl")
+    assert main(["study", "--resume", out, "--events", resumed,
+                 "--workers", str(workers), "-q"]) == 0
+    replayed = _shard_records(resumed, 0)
+    assert len(replayed) > 4  # start, two days, end and chaos records
+    assert replayed == _shard_records(clean, 0)
 
 
 # -- PR-8: live observability plane ------------------------------------
@@ -575,13 +626,17 @@ def test_watch_redraws_over_a_longer_line(capsys):
     ``eta`` line before it and is padded over its tail."""
     import threading
 
+    from repro.obs.events import event_record
     from repro.obs.exporter import LivePlane
 
     plane = LivePlane(serve_port=0).start()
     try:
-        plane.study_started(shards=1, days=2, workers=1)
-        plane.day_completed(0, day=0, days=2, grabs=10, delta={})
-        timer = threading.Timer(0.5, plane.progress.finish)
+        plane.take([event_record("study.start", shards=1, days=2)])
+        plane.take([event_record("shard.day", shard=0, day=0, days=2,
+                                 grabs=10)], shard=0)
+        timer = threading.Timer(
+            0.5, plane.take, [[event_record("study.end")]]
+        )
         timer.start()
         assert main(["watch", plane.url, "--interval", "0.1"]) == 0
         timer.join()
@@ -596,12 +651,14 @@ def test_watch_redraws_over_a_longer_line(capsys):
 
 def test_watch_live_study_over_http(tmp_path, capsys):
     """`repro watch --once` against a LivePlane-backed server."""
+    from repro.obs.events import event_record
     from repro.obs.exporter import LivePlane
 
     plane = LivePlane(serve_port=0).start()
     try:
-        plane.study_started(shards=2, days=2, workers=1)
-        plane.progress.day_completed(0, day=0, days=2, grabs=10)
+        plane.take([event_record("study.start", shards=2, days=2)])
+        plane.take([event_record("shard.day", shard=0, day=0, days=2,
+                                 grabs=10)], shard=0)
         assert main(["watch", plane.url, "--once"]) == 0
         out = capsys.readouterr().out
         assert "days 1/4" in out
