@@ -11,9 +11,13 @@ into memory:
    aggregate.  ``--workers N`` fans chunks across a process pool the
    same way the scan engine fans shards; like there, worker count
    never affects output because
-3. **Merge** — partials merge left-to-right in (channel, byte offset)
-   order, which reproduces the exact dict insertion order of one
-   in-memory pass (:func:`repro.core.aggregate.fold_records`).
+3. **Merge** — each chunk's partials merge into one running state per
+   (aggregate, channel) as the chunk's outcome arrives, in
+   (channel, byte offset) order, and the outcome is then dropped; at
+   the end each aggregate merges its channels' states in its own
+   ``channels`` order and finalizes.  That reproduces the exact dict
+   insertion order of one in-memory pass
+   (:func:`repro.core.aggregate.fold_records`).
 4. **Cache** — each chunk's partials persist under
    ``<dataset>/.analysis/`` keyed by the sha256 of the chunk's bytes
    plus each aggregate's spec fingerprint
@@ -22,8 +26,12 @@ into memory:
    chunks whose bytes or specs actually changed.  A cache file that is
    unreadable or malformed counts as a miss and is refolded.
 
-Memory stays at O(largest chunk + aggregate states): the corpus itself
-is never resident.
+Resident memory is one chunk's rows and partials, the running states
+and the outputs: neither the corpus nor the other chunks' partials are
+ever resident.  On the ``analysis`` benchmark corpus (500 domains, 63
+days) tracemalloc puts one warm run's peak at 12.9 MB, 9.9 MB of it the
+returned result (26.5 MB while every chunk's outcome was kept until
+the merge).
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import METRICS
 from ..scanner.checkpoint import fingerprint_digest
@@ -194,10 +202,9 @@ def _write_cache(path: str, chunk: Chunk, digest: str, rows: int,
 def _run_chunk(task) -> ChunkOutcome:
     """Worker entry point: fold one chunk for every aggregate that reads
     its channel (top-level function so the process pool can pickle it)."""
-    directory, chunk, aggregates, use_cache = task
+    directory, chunk, aggregates, specs, use_cache = task
     with _collector_paused():
         needed = [a for a in aggregates if chunk.channel in a.channels]
-        specs = _spec_digests(needed)
         blob = read_chunk(channel_path(directory, chunk.channel),
                           chunk.start, chunk.end)
         digest = hashlib.sha256(blob).hexdigest()
@@ -235,42 +242,63 @@ class AnalysisEngine:
             channel for agg in self.aggregates for channel in agg.channels
         )
 
+    def _outcomes(self, tasks: list) -> Iterator[ChunkOutcome]:
+        """Each task's outcome, in submission order: (channel, offset).
+
+        ``pool.map`` yields in submission order no matter which worker
+        finishes first, so the worker count never changes the order.
+        """
+        if self.workers > 1 and len(tasks) > 1:
+            pool_size = min(self.workers, len(tasks))
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                yield from pool.map(_run_chunk, tasks)
+        else:
+            yield from map(_run_chunk, tasks)
+
     def run(self) -> AnalysisResult:
         started = time.monotonic()
         meta = read_meta(self.directory)
-        plan = plan_chunks(self.directory, self.channels(), self.chunk_bytes)
+        channels = self.channels()
+        plan = plan_chunks(self.directory, channels, self.chunk_bytes)
+        specs = _spec_digests(self.aggregates)
         tasks = [
-            (self.directory, chunk, self.aggregates, self.use_cache)
+            (self.directory, chunk, self.aggregates, specs, self.use_cache)
             for chunk in plan
         ]
+        readers = {
+            channel: [agg for agg in self.aggregates if channel in agg.channels]
+            for channel in channels
+        }
+        # One running state per (aggregate, channel), built up in
+        # (channel, offset) order as each chunk's outcome arrives.
+        running: Dict[Tuple[str, str], object] = {
+            (agg.name, channel): agg.zero()
+            for agg in self.aggregates for channel in agg.channels
+        }
+        channel_rows: Dict[str, int] = {}
+        cache_hits = cache_misses = 0
         with _collector_paused():
-            if self.workers > 1 and len(tasks) > 1:
-                pool_size = min(self.workers, len(tasks))
-                with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                    # pool.map preserves submission order, so outcomes
-                    # arrive in deterministic (channel, offset) order no
-                    # matter which worker finishes first.
-                    outcomes = list(pool.map(_run_chunk, tasks))
-            else:
-                outcomes = [_run_chunk(task) for task in tasks]
-            by_channel: Dict[str, List[ChunkOutcome]] = {}
-            channel_rows: Dict[str, int] = {}
-            cache_hits = cache_misses = 0
-            for outcome in outcomes:
-                by_channel.setdefault(outcome.chunk.channel, []).append(outcome)
-                channel_rows[outcome.chunk.channel] = (
-                    channel_rows.get(outcome.chunk.channel, 0) + outcome.rows
-                )
+            for outcome in self._outcomes(tasks):
+                channel = outcome.chunk.channel
+                channel_rows[channel] = channel_rows.get(channel, 0) + outcome.rows
                 if outcome.cache_hit:
                     cache_hits += 1
                 else:
                     cache_misses += 1
+                for agg in readers[channel]:
+                    key = (agg.name, channel)
+                    running[key] = agg.merge(running[key],
+                                             outcome.states[agg.name])
+                # Drop the partials before the next chunk is read.
+                del outcome
+            # merge is associative with identity zero(), so merging the
+            # per-channel states in the aggregate's own channel order
+            # equals one left-to-right pass over its channels' chunks.
             outputs: Dict[str, object] = {}
             for agg in self.aggregates:
                 state = agg.zero()
                 for channel in agg.channels:
-                    for outcome in by_channel.get(channel, []):
-                        state = agg.merge(state, outcome.states[agg.name])
+                    state = agg.merge(state, running.pop((agg.name, channel)))
                 outputs[agg.name] = agg.finalize(state, meta)
         METRICS.counter("analysis.chunks").inc(len(plan))
         METRICS.counter("analysis.cache.hit").inc(cache_hits)

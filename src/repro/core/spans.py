@@ -25,7 +25,7 @@ from .cdf import CDF
 from ..scanner.records import ScanObservation
 
 
-@dataclass
+@dataclass(slots=True)
 class IdentifierSpan:
     """One identifier's observed lifetime at one domain."""
 
@@ -47,7 +47,7 @@ class IdentifierSpan:
         return self.span_days + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class DomainSpans:
     """All identifier spans for one domain."""
 

@@ -202,6 +202,9 @@ def run_shard(
     ``shard.day``, and the metrics since the last push; the last push
     carries ``shard.end``.  ``profile_dir`` runs the shard under
     cProfile, dumps its stats there and fills ``ShardResult.profile``.
+    A shard that raises still stops its profiler, turns the event log
+    off and closes its channel files, so the next shard this process
+    runs starts clean.
     """
     registry = registry if registry is not None else default_registry(config)
     shard_count = config.shards
@@ -211,156 +214,170 @@ def run_shard(
     # process; workers=N does not).  Output-safe: the caches are keyed
     # by value, so clearing only costs recomputation.
     reset_process_caches()
-    if push is not None:
-        EVENTS.enable()
-        EVENTS.drain()  # discard leftovers from a reused process
-        EVENTS.emit("shard.start", shard=shard_id, shards=shard_count)
-    if profile_dir is not None:
-        PROFILER.reset()
-        PROFILER.enable()
-    profile_handle = start_shard_profile(profile_dir)
-    metrics_base = METRICS.snapshot()
-    push_base = metrics_base
-    shard_started = time.perf_counter()
-    day_seconds: list = []
-    if config.chaos:
-        # Compiled per shard (plans are cheap); decisions are pure
-        # hashes of (seed, window, target, time), so every shard sees
-        # the same schedule regardless of worker or process layout.
-        install_chaos(ecosystem, ImpairmentPlan.from_profile(config.chaos))
-    rng = DeterministicRandom(config.seed)
-    if shard_count > 1:
-        rng = rng.fork(f"shard:{shard_id}/{shard_count}")
-    # ``oracle`` runs every grab over the record-layer exchange instead
-    # of the fast path (byte-identical output; see docs/SCALING.md).
-    grabber = ZGrabber(
-        ecosystem, rng.fork("grabber"), retry=config.retry,
-        fast=not config.oracle,
-    )
-    sink = _StreamingSink(stream_dir)
-    stats = StudyStats(days=config.days, shards=shard_count, workers=1)
-
-    ctx = StudyContext(
-        ecosystem=ecosystem,
-        grabber=grabber,
-        rng=rng,
-        config=config,
-        emit=sink.emit,
-        shard_id=shard_id,
-        shard_count=shard_count,
-    )
-    ctx.meta["day0_list"] = ecosystem.alexa_list(0)
-    ranks = ctx.meta.setdefault("ranks", {})
-
-    schedules = [(experiment, experiment.schedule(config)) for experiment in registry]
-    for day in range(config.days):
-        day_started = time.perf_counter()
-        day_grabs_start = grabber.grabs
-        day_start = day * DAY
-        if ecosystem.clock.now() < day_start:
-            with PROFILER.phase("ecosystem.advance"):
-                ecosystem.advance_to(day_start)
-
-        full_list = ecosystem.alexa_list()
-        ctx.full_list_size = len(full_list)
-        ctx.today = [
-            (rank, name) for rank, name in full_list
-            if name not in ecosystem.blacklist
-        ]
-        for rank, name in ctx.today:
-            ranks.setdefault(name, rank)
+    profile_handle = None
+    sink = None
+    try:
+        if push is not None:
+            EVENTS.enable()
+            EVENTS.drain()  # discard leftovers from a reused process
+            EVENTS.emit("shard.start", shard=shard_id, shards=shard_count)
+        if profile_dir is not None:
+            PROFILER.reset()
+            PROFILER.enable()
+        profile_handle = start_shard_profile(profile_dir)
+        metrics_base = METRICS.snapshot()
+        push_base = metrics_base
+        shard_started = time.perf_counter()
+        day_seconds: list = []
+        if config.chaos:
+            # Compiled per shard (plans are cheap); decisions are pure
+            # hashes of (seed, window, target, time), so every shard sees
+            # the same schedule regardless of worker or process layout.
+            install_chaos(ecosystem, ImpairmentPlan.from_profile(config.chaos))
+        rng = DeterministicRandom(config.seed)
         if shard_count > 1:
-            ctx.today_owned = [
-                (rank, name) for rank, name in ctx.today if ctx.owns(name)
-            ]
-        else:
-            ctx.today_owned = ctx.today
+            rng = rng.fork(f"shard:{shard_id}/{shard_count}")
+        # ``oracle`` runs every grab over the record-layer exchange instead
+        # of the fast path (byte-identical output; see docs/SCALING.md).
+        grabber = ZGrabber(
+            ecosystem, rng.fork("grabber"), retry=config.retry,
+            fast=not config.oracle,
+        )
+        sink = _StreamingSink(stream_dir)
+        stats = StudyStats(days=config.days, shards=shard_count, workers=1)
 
-        for experiment, scheduled_days in schedules:
-            if day not in scheduled_days:
-                continue
-            grabs_before = grabber.grabs
-            with PROFILER.phase(f"experiment.{experiment.name}"):
-                experiment.run_day(ctx, day)
-            day_grabs = grabber.grabs - grabs_before
-            stats.scans_by_experiment[experiment.name] = (
-                stats.scans_by_experiment.get(experiment.name, 0) + day_grabs
-            )
-            METRICS.counter(
-                "experiment.grabs", experiment=experiment.name
-            ).inc(day_grabs)
-        day_seconds.append(round(time.perf_counter() - day_started, 6))
+        ctx = StudyContext(
+            ecosystem=ecosystem,
+            grabber=grabber,
+            rng=rng,
+            config=config,
+            emit=sink.emit,
+            shard_id=shard_id,
+            shard_count=shard_count,
+        )
+        ctx.meta["day0_list"] = ecosystem.alexa_list(0)
+        ranks = ctx.meta.setdefault("ranks", {})
+
+        schedules = [(experiment, experiment.schedule(config)) for experiment in registry]
+        for day in range(config.days):
+            day_started = time.perf_counter()
+            day_grabs_start = grabber.grabs
+            day_start = day * DAY
+            if ecosystem.clock.now() < day_start:
+                with PROFILER.phase("ecosystem.advance"):
+                    ecosystem.advance_to(day_start)
+
+            full_list = ecosystem.alexa_list()
+            ctx.full_list_size = len(full_list)
+            ctx.today = [
+                (rank, name) for rank, name in full_list
+                if name not in ecosystem.blacklist
+            ]
+            for rank, name in ctx.today:
+                ranks.setdefault(name, rank)
+            if shard_count > 1:
+                ctx.today_owned = [
+                    (rank, name) for rank, name in ctx.today if ctx.owns(name)
+                ]
+            else:
+                ctx.today_owned = ctx.today
+
+            for experiment, scheduled_days in schedules:
+                if day not in scheduled_days:
+                    continue
+                grabs_before = grabber.grabs
+                with PROFILER.phase(f"experiment.{experiment.name}"):
+                    experiment.run_day(ctx, day)
+                day_grabs = grabber.grabs - grabs_before
+                stats.scans_by_experiment[experiment.name] = (
+                    stats.scans_by_experiment.get(experiment.name, 0) + day_grabs
+                )
+                METRICS.counter(
+                    "experiment.grabs", experiment=experiment.name
+                ).inc(day_grabs)
+            day_seconds.append(round(time.perf_counter() - day_started, 6))
+            if push is not None:
+                EVENTS.emit(
+                    "shard.day", shard=shard_id, day=day, days=config.days,
+                    grabs=grabber.grabs - day_grabs_start,
+                    seconds=day_seconds[-1],
+                )
+                # Diagnostics-only: the delta feeds the parent's live
+                # gauges; the merged output still comes from the full-run
+                # delta below, so pushes never affect final metrics.
+                delta = METRICS.snapshot_delta(push_base)
+                push_base = METRICS.snapshot()
+                push(EVENTS.drain(), delta)
+
+        with PROFILER.phase("finalize"):
+            for experiment in registry:
+                experiment.finalize(ctx)
+
+        # End-of-study, view-independent metadata (identical in every shard).
+        as_names = {}
+        for autonomous_system in ecosystem.as_registry.all_systems():
+            as_names[autonomous_system.asn] = autonomous_system.name
+        ctx.meta["as_names"] = as_names
+        if not ctx.meta.get("domain_asn"):
+            with PROFILER.phase("metadata"):
+                domain_asn = ctx.meta.setdefault("domain_asn", {})
+                domain_ip = ctx.meta.setdefault("domain_ip", {})
+                for rank, name in ecosystem.alexa_list():
+                    try:
+                        addresses = ecosystem.dns.resolve_all(name)
+                    except KeyError:
+                        continue
+                    autonomous_system = ecosystem.as_registry.lookup(addresses[0])
+                    if autonomous_system is not None:
+                        domain_asn[name] = autonomous_system.asn
+                    domain_ip[name] = str(addresses[0])
+        # A probe scheduled late in the study may run past the nominal end;
+        # only advance if the clock is still behind it.
+        if ecosystem.clock.now() < config.days * DAY:
+            ecosystem.advance_to(config.days * DAY)
+        ctx.meta["always_present"] = [
+            d.name for d in ecosystem.always_present_domains(config.days - 1)
+        ]
+
+        stats.grabs = grabber.grabs
+        stats.records_by_channel = sink.counts()
+        pstats_name = stop_shard_profile(profile_handle, profile_dir, shard_id)
+        profile: dict = {}
+        if profile_dir is not None:
+            PROFILER.disable()
+            profile = PROFILER.snapshot()
+            if pstats_name is not None:
+                profile["pstats"] = pstats_name
         if push is not None:
             EVENTS.emit(
-                "shard.day", shard=shard_id, day=day, days=config.days,
-                grabs=grabber.grabs - day_grabs_start,
-                seconds=day_seconds[-1],
+                "shard.end", shard=shard_id, grabs=stats.grabs,
+                retries=grabber.retries,
             )
-            # Diagnostics-only: the delta feeds the parent's live
-            # gauges; the merged output still comes from the full-run
-            # delta below, so pushes never affect final metrics.
-            delta = METRICS.snapshot_delta(push_base)
-            push_base = METRICS.snapshot()
-            push(EVENTS.drain(), delta)
-
-    with PROFILER.phase("finalize"):
-        for experiment in registry:
-            experiment.finalize(ctx)
-
-    # End-of-study, view-independent metadata (identical in every shard).
-    as_names = {}
-    for autonomous_system in ecosystem.as_registry.all_systems():
-        as_names[autonomous_system.asn] = autonomous_system.name
-    ctx.meta["as_names"] = as_names
-    if not ctx.meta.get("domain_asn"):
-        with PROFILER.phase("metadata"):
-            domain_asn = ctx.meta.setdefault("domain_asn", {})
-            domain_ip = ctx.meta.setdefault("domain_ip", {})
-            for rank, name in ecosystem.alexa_list():
-                try:
-                    addresses = ecosystem.dns.resolve_all(name)
-                except KeyError:
-                    continue
-                autonomous_system = ecosystem.as_registry.lookup(addresses[0])
-                if autonomous_system is not None:
-                    domain_asn[name] = autonomous_system.asn
-                domain_ip[name] = str(addresses[0])
-    # A probe scheduled late in the study may run past the nominal end;
-    # only advance if the clock is still behind it.
-    if ecosystem.clock.now() < config.days * DAY:
-        ecosystem.advance_to(config.days * DAY)
-    ctx.meta["always_present"] = [
-        d.name for d in ecosystem.always_present_domains(config.days - 1)
-    ]
-
-    stats.grabs = grabber.grabs
-    stats.records_by_channel = sink.counts()
-    sink.close()
-    pstats_name = stop_shard_profile(profile_handle, profile_dir, shard_id)
-    profile: dict = {}
-    if profile_dir is not None:
-        PROFILER.disable()
-        profile = PROFILER.snapshot()
-        if pstats_name is not None:
-            profile["pstats"] = pstats_name
-    if push is not None:
-        EVENTS.emit(
-            "shard.end", shard=shard_id, grabs=stats.grabs,
-            retries=grabber.retries,
+            push(EVENTS.drain(), METRICS.snapshot_delta(push_base))
+        return ShardResult(
+            shard_id=shard_id,
+            shard_count=shard_count,
+            stream_subdir=stream_dir,
+            meta=ctx.meta,
+            stats=stats,
+            metrics=METRICS.snapshot_delta(metrics_base),
+            day_seconds=day_seconds,
+            elapsed_seconds=round(time.perf_counter() - shard_started, 6),
+            profile=profile,
         )
-        push(EVENTS.drain(), METRICS.snapshot_delta(push_base))
-        EVENTS.disable()
-    return ShardResult(
-        shard_id=shard_id,
-        shard_count=shard_count,
-        stream_subdir=stream_dir,
-        meta=ctx.meta,
-        stats=stats,
-        metrics=METRICS.snapshot_delta(metrics_base),
-        day_seconds=day_seconds,
-        elapsed_seconds=round(time.perf_counter() - shard_started, 6),
-        profile=profile,
-    )
+    finally:
+        # Returned or raised, the shard leaves no process-wide state
+        # behind: the next shard in this process starts its own profile
+        # and event log.
+        if profile_handle is not None:
+            profile_handle.disable()
+        if profile_dir is not None:
+            PROFILER.disable()
+        if push is not None:
+            EVENTS.disable()
+            EVENTS.drain()
+        if sink is not None:
+            sink.close()
 
 
 def _shard_worker(args) -> ShardResult:

@@ -13,6 +13,8 @@ import hashlib
 import json
 import os
 import shutil
+import weakref
+from itertools import chain
 
 import pytest
 from helpers import canon
@@ -21,12 +23,16 @@ from repro import core
 from repro.analysis import engine
 from repro.analysis import (
     CACHE_DIR_NAME,
+    AnalysisEngine,
     analyze,
     audit_inputs_from_analysis,
     render_audit,
     render_report,
     report_inputs_from_analysis,
 )
+from repro.analysis.aggregates import default_aggregates
+from repro.core.aggregate import ShardAggregate, fold_records
+from repro.core.groups import IdentifierGroupsAggregate
 from repro.scanner import save_dataset
 from repro.scanner.datastore import channel_path, write_meta
 
@@ -283,3 +289,85 @@ def test_analysis_leaves_no_cyclic_garbage(saved_dataset, tmp_path,
     assert (sha256(report), sha256(audit)) == PINNED
     del cold, warm, report, audit
     assert gc.collect() == 0
+
+
+# -- the streaming merge ----------------------------------------------------
+
+
+class _Partial(list):
+    """A fold state that can be weakly referenced."""
+
+
+class _TrackedRowCounts(ShardAggregate):
+    """Row count per chunk; remembers how many chunk partials were alive
+    at each fold (the engine's running state never passes through
+    ``fold``, so only chunk partials are tracked)."""
+
+    def __init__(self, channel):
+        self.name = "tracked_row_counts"
+        self.channels = (channel,)
+        self.partials = []
+        self.most_alive = 0
+
+    def zero(self):
+        return _Partial()
+
+    def fold(self, state, channel, rows):
+        self.partials.append(weakref.ref(state))
+        alive = sum(ref() is not None for ref in self.partials)
+        self.most_alive = max(self.most_alive, alive)
+        state.append(sum(1 for _ in rows))
+        return state
+
+    def merge(self, left, right):
+        left.extend(right)
+        return left
+
+    def finalize(self, state, meta):
+        return list(state)
+
+
+def test_run_holds_one_chunk_of_partials_at_a_time(saved_dataset):
+    """Each chunk's partials are merged into the running state and
+    dropped before the next chunk is folded."""
+    tracked = _TrackedRowCounts("ticket_daily")
+    result = AnalysisEngine(saved_dataset, aggregates=[tracked],
+                            chunk_bytes=CHUNK, use_cache=False).run()
+    assert len(tracked.partials) == result.chunks > 2
+    assert tracked.most_alive == 1
+    assert sum(result.outputs[tracked.name]) == result.rows("ticket_daily")
+
+
+class _IdentifierMap(IdentifierGroupsAggregate):
+    """The identifier -> domains map itself, in first-seen order."""
+
+    def finalize(self, state, meta):
+        return state
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_aggregate_channel_order_beats_plan_order(saved_dataset, small_study,
+                                                   workers):
+    """Two maps over the same two channels: one in the plan's first-use
+    order, one reversed (``ticket_support`` is first read by the default
+    set's ``ticket_waterfall``).  Each equals one in-memory pass over its
+    own channel order, serial or pooled."""
+    _, dataset = small_study
+    engine = AnalysisEngine(saved_dataset, aggregates=default_aggregates() + [
+        _IdentifierMap("forward_map", ("ticket_support", "ticket_30min")),
+        _IdentifierMap("reversed_map", ("ticket_30min", "ticket_support")),
+    ], workers=workers, chunk_bytes=CHUNK, use_cache=False)
+    channels = engine.channels()
+    assert channels.index("ticket_support") < channels.index("ticket_30min")
+    outputs = engine.run().outputs
+    for name, rows in (
+        ("forward_map", chain(dataset.ticket_support, dataset.ticket_30min)),
+        ("reversed_map", chain(dataset.ticket_30min, dataset.ticket_support)),
+    ):
+        in_memory = fold_records(_IdentifierMap(name, ("ticket_daily",)), rows)
+        assert canon(outputs[name]) == canon(in_memory)
+    # Same content, different first-seen order: the order is tested.
+    forward, backward = outputs["forward_map"], outputs["reversed_map"]
+    assert ({key: set(domains) for key, domains in forward.items()}
+            == {key: set(domains) for key, domains in backward.items()})
+    assert canon(forward) != canon(backward)

@@ -5,7 +5,7 @@ turns a Prometheus exposition back into a metrics snapshot."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 from repro.crypto import dh, ec, rsa
@@ -118,7 +118,8 @@ def canon(obj):
     compare field by field; sets are unordered, so they are sorted.
     """
     if is_dataclass(obj) and not isinstance(obj, type):
-        return [type(obj).__name__, canon(vars(obj))]
+        return [type(obj).__name__, canon(
+            {f.name: getattr(obj, f.name) for f in fields(obj)})]
     if isinstance(obj, dict):
         return [(key, canon(value)) for key, value in obj.items()]
     if isinstance(obj, (list, tuple)):

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -18,6 +19,9 @@ import pytest
 from repro.faults.retry import RetryPolicy
 from repro.hosting import EcosystemConfig, build_ecosystem
 from repro.obs import load_manifest
+from repro.obs.events import EVENTS
+from repro.obs.exporter import LivePlane
+from repro.obs.profiling import PROFILER
 from repro.scanner import (
     EVERY_DAY,
     CheckpointMismatch,
@@ -245,15 +249,18 @@ class _FlakyExperiment(Experiment):
     name = "flaky"
     channels = ()
 
-    def __init__(self, fail: bool, failing_shard: int = 1):
+    def __init__(self, fail: bool, failing_shard: int = 1,
+                 failing_day: int = 0):
         self.fail = fail
         self.failing_shard = failing_shard
+        self.failing_day = failing_day
 
     def schedule(self, config):
         return EVERY_DAY
 
     def run_day(self, ctx, day):
-        if self.fail and ctx.shard_id == self.failing_shard:
+        if (self.fail and ctx.shard_id == self.failing_shard
+                and day >= self.failing_day):
             raise RuntimeError("injected shard failure")
         if ctx.today_owned:
             rank, name = ctx.today_owned[0]
@@ -262,14 +269,15 @@ class _FlakyExperiment(Experiment):
 
 class TestAbort:
     def _engine(
-        self, fail: bool, failing_shard: int = 1, **execution
+        self, fail: bool, failing_shard: int = 1, days: int = 1,
+        failing_day: int = 0, **execution
     ) -> StudyEngine:
         config = _config(
-            days=1, run_probes=False, run_crossdomain=False,
+            days=days, run_probes=False, run_crossdomain=False,
             run_support_scans=False, **execution,
         )
         return StudyEngine(config, registry=ExperimentRegistry(
-            [_FlakyExperiment(fail, failing_shard)]
+            [_FlakyExperiment(fail, failing_shard, failing_day)]
         ))
 
     def test_shard_failure_keeps_siblings_checkpointed(self, tmp_path):
@@ -291,6 +299,44 @@ class TestAbort:
         clean = str(tmp_path / "clean")
         self._engine(fail=False, shards=2, stream_dir=clean).run(_ecosystem())
         assert _dataset_digest(out) == _dataset_digest(clean)
+
+    def test_failed_profiled_shard_lets_the_next_shard_run(self, tmp_path):
+        """A shard that raises mid-study stops its profiler, so the next
+        shard in the same process can start its own (on Python 3.12 a
+        second active cProfile raises "Another profiling tool is already
+        active")."""
+        out = str(tmp_path / "profiled")
+        engine = self._engine(fail=True, failing_shard=0, days=2,
+                              failing_day=1, shards=2, workers=1,
+                              stream_dir=out)
+        before = sys.getprofile()
+        with pytest.raises(StudyAborted) as excinfo:
+            engine.run(_ecosystem(), telemetry_dir=str(tmp_path / "t"),
+                       profile=True)
+        assert excinfo.value.failed_shards == [0]
+        assert excinfo.value.completed_shards == [1]
+        assert CheckpointStore(out).completed_shards() == [1]
+        assert sys.getprofile() is before
+        assert PROFILER.enabled is False
+
+    def test_failed_shard_turns_the_event_log_off(self, tmp_path):
+        """The last shard raising leaves neither the event log nor the
+        profiler on for whatever this process runs next."""
+        engine = self._engine(fail=True, failing_shard=1, days=2,
+                              failing_day=1, shards=2, workers=1,
+                              stream_dir=str(tmp_path / "observed"))
+        before = sys.getprofile()
+        plane = LivePlane().start()
+        try:
+            with pytest.raises(StudyAborted):
+                engine.run(_ecosystem(), telemetry_dir=str(tmp_path / "t"),
+                           live=plane, profile=True)
+        finally:
+            plane.stop()
+        assert EVENTS.enabled is False
+        assert len(EVENTS) == 0
+        assert sys.getprofile() is before
+        assert PROFILER.enabled is False
 
     def test_fail_fast_stops_dispatching(self, tmp_path):
         out = str(tmp_path / "failfast")
