@@ -15,10 +15,6 @@ to the FIPS 197 vectors in the test suite.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-from ..obs.metrics import METRICS, register_process_cache
-
 BLOCK_SIZE = 16
 
 _SBOX = [0] * 256
@@ -241,43 +237,4 @@ class AES:
         return self.decrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")
 
 
-# --- key-schedule cache ------------------------------------------------
-#
-# A STEK is by definition reused across huge ticket volumes — the very
-# phenomenon the paper measures — so rebuilding the key schedule per
-# seal/open would dominate ticket throughput.  AES instances are
-# immutable after construction, which makes sharing one expansion per
-# key across all callers safe (see DESIGN.md's cache-safety rules).
-
-_INSTANCE_CACHE: "OrderedDict[bytes, AES]" = OrderedDict()
-_INSTANCE_CACHE_MAX = 256
-
-_CACHE_HIT = METRICS.counter("crypto.aes.key_cache.hit")
-_CACHE_MISS = METRICS.counter("crypto.aes.key_cache.miss")
-_CACHE_EVICTION = METRICS.counter("crypto.aes.key_cache.eviction")
-
-
-def aes_for_key(key: bytes) -> AES:
-    """Return a cached :class:`AES` for ``key``, expanding it at most once.
-
-    Bounded LRU: the simulation's working set is the record-layer keys
-    of the connections that exchange application data, far below the
-    cap; eviction only protects against pathological key churn.
-    """
-    cipher = _INSTANCE_CACHE.get(key)
-    if cipher is None:
-        _CACHE_MISS.value += 1
-        cipher = AES(key)
-        _INSTANCE_CACHE[key] = cipher
-        if len(_INSTANCE_CACHE) > _INSTANCE_CACHE_MAX:
-            _CACHE_EVICTION.value += 1
-            _INSTANCE_CACHE.popitem(last=False)
-    else:
-        _CACHE_HIT.value += 1
-        _INSTANCE_CACHE.move_to_end(key)
-    return cipher
-
-
-register_process_cache(_INSTANCE_CACHE.clear)
-
-__all__ = ["AES", "BLOCK_SIZE", "aes_for_key"]
+__all__ = ["AES", "BLOCK_SIZE"]

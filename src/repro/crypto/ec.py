@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..obs.metrics import METRICS, register_process_cache
 from .rng import DeterministicRandom
 
 
@@ -121,14 +120,6 @@ NAMED_CURVE_BY_ID = {v: k for k, v in NAMED_CURVE_IDS.items()}
 
 class NotOnCurveError(ValueError):
     """A peer offered a point that does not satisfy the curve equation."""
-
-
-# Shared-secret memo: (curve name, private scalar, peer point) -> point.
-_shared_secret_memo: dict = {}
-register_process_cache(_shared_secret_memo.clear)
-
-_MEMO_HIT = METRICS.counter("crypto.ec.shared_memo.hit")
-_MEMO_MISS = METRICS.counter("crypto.ec.shared_memo.miss")
 
 
 Point = Optional[Tuple[int, int]]  # None is the point at infinity
@@ -381,26 +372,12 @@ class ECKeyPair:
     public: Tuple[int, int]
 
     def shared_secret(self, peer_public: Tuple[int, int]) -> Tuple[int, int]:
-        """Compute ``d · peer_public``, validating the peer point.
-
-        Results are memoized on ``(curve, d, peer)``: when either side
-        reuses its ephemeral value — the very behavior this codebase
-        studies — repeat computations collapse to a dict lookup.
-        """
-        memo_key = (self.curve.name, self.private, peer_public)
-        cached = _shared_secret_memo.get(memo_key)
-        if cached is not None:
-            _MEMO_HIT.value += 1
-            return cached
-        _MEMO_MISS.value += 1
+        """Compute ``d · peer_public``, validating the peer point."""
         if not is_on_curve(self.curve, peer_public):
             raise NotOnCurveError("peer public point not on curve")
         result = scalar_mult(self.curve, self.private, peer_public)
         if result is None:
             raise NotOnCurveError("shared secret is the point at infinity")
-        if len(_shared_secret_memo) > 131072:
-            _shared_secret_memo.clear()
-        _shared_secret_memo[memo_key] = result
         return result
 
     def shared_secret_bytes(self, peer_public: Tuple[int, int]) -> bytes:

@@ -3,25 +3,20 @@
 RFC 5077's recommended ticket construction uses AES-CBC; this module
 provides CBC with PKCS#7 padding on top of :class:`repro.crypto.aes.AES`.
 
-Two deliberate fast-path choices (see DESIGN.md §7 for the safety
-argument):
-
-* key schedules come from :func:`repro.crypto.aes.aes_for_key`, a
-  bounded LRU keyed by key bytes.  Its traffic is application-data
-  records under per-connection keys (capture-mode grabs and the
-  passive adversary decrypting them), which both ends of a connection
-  use, so a key is expanded once per connection, not once per record.
-  Session tickets do not pass through it: each STEK keeps its own
-  schedule (``repro.tls.ticket.STEK.cipher``);
-* chaining works on whole blocks held as 128-bit integers
-  (``int.from_bytes`` once per block, one big XOR) instead of a
-  per-byte generator, which is the difference between the XOR being
-  free and being a quarter of the runtime.
+Key schedules are expanded per call (``AES(key)``): the only traffic
+through the key-taking functions is application-data records under
+per-connection keys on the record-layer path.  Callers that own a
+long-lived key hold the expanded cipher themselves and use the
+``*_with`` variants (each STEK keeps its schedule in
+``repro.tls.ticket.STEK.cipher``).  Chaining works on whole blocks held
+as 128-bit integers (``int.from_bytes`` once per block, one big XOR)
+instead of a per-byte generator, which is the difference between the
+XOR being free and being a quarter of the runtime.
 """
 
 from __future__ import annotations
 
-from .aes import AES, BLOCK_SIZE, aes_for_key
+from .aes import AES, BLOCK_SIZE
 
 
 class PaddingError(ValueError):
@@ -49,16 +44,15 @@ def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
     """AES-CBC encrypt ``plaintext`` (PKCS#7 padded) under ``key``/``iv``."""
-    return cbc_encrypt_with(aes_for_key(key), iv, plaintext)
+    return cbc_encrypt_with(AES(key), iv, plaintext)
 
 
 def cbc_encrypt_with(cipher: "AES", iv: bytes, plaintext: bytes) -> bytes:
     """:func:`cbc_encrypt` against an already-expanded :class:`AES`.
 
     Callers that own a long-lived key (a STEK seals tickets for its
-    whole rotation period) hold the cipher object themselves instead of
-    going through the bounded ``aes_for_key`` LRU, whose working set a
-    full-ecosystem scan of per-domain keys would otherwise cycle.
+    whole rotation period) hold the cipher object themselves, so the
+    key schedule is expanded once per key rather than once per call.
     """
     if len(iv) != BLOCK_SIZE:
         raise ValueError("IV must be one block")
@@ -75,7 +69,7 @@ def cbc_encrypt_with(cipher: "AES", iv: bytes, plaintext: bytes) -> bytes:
 
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
     """AES-CBC decrypt and unpad; raises :class:`PaddingError` on bad padding."""
-    return cbc_decrypt_with(aes_for_key(key), iv, ciphertext)
+    return cbc_decrypt_with(AES(key), iv, ciphertext)
 
 
 def cbc_decrypt_with(cipher: "AES", iv: bytes, ciphertext: bytes) -> bytes:
@@ -104,7 +98,7 @@ def ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """
     if len(nonce) != BLOCK_SIZE:
         raise ValueError("nonce must be one block")
-    encrypt_int = aes_for_key(key).encrypt_int
+    encrypt_int = AES(key).encrypt_int
     counter = int.from_bytes(nonce, "big")
     mask = (1 << 128) - 1
     out = bytearray()

@@ -28,10 +28,6 @@ _SMALL_PRIMES = [
 
 _DIGEST_PREFIX = b"repro-pkcs1-sha256:"
 
-# Memoized CRT parameters per modulus (the simulation shares a small
-# pool of RSA keys across certificates, so this cache stays tiny).
-_CRT_CACHE: dict[int, tuple[int, int, int]] = {}
-
 
 def is_probable_prime(n: int, rng: DeterministicRandom, rounds: int = 20) -> bool:
     """Miller-Rabin primality test with trial division pre-filter."""
@@ -115,19 +111,14 @@ class RSAPrivateKey:
         """Modulus width in bytes (signature wire size)."""
         return (self.n.bit_length() + 7) // 8
 
+    @cached_property
     def _crt_params(self) -> tuple[int, int, int]:
-        """Memoized CRT exponents/coefficient (dp, dq, q_inv)."""
-        params = _CRT_CACHE.get(self.n)
-        if params is None:
-            params = (
-                self.d % (self.p - 1),
-                self.d % (self.q - 1),
-                pow(self.q, -1, self.p),
-            )
-            if len(_CRT_CACHE) > 4096:
-                _CRT_CACHE.clear()
-            _CRT_CACHE[self.n] = params
-        return params
+        """CRT exponents and coefficient (dp, dq, q_inv), once per key."""
+        return (
+            self.d % (self.p - 1),
+            self.d % (self.q - 1),
+            pow(self.q, -1, self.p),
+        )
 
     def sign(self, message: bytes) -> int:
         """Sign ``message`` (hash-then-encode-then-exponentiate).
@@ -137,7 +128,7 @@ class RSAPrivateKey:
         millions of ServerKeyExchange signatures a study performs.
         """
         m = _encode_digest(message, self.n)
-        dp, dq, q_inv = self._crt_params()
+        dp, dq, q_inv = self._crt_params
         sp = pow(m % self.p, dp, self.p)
         sq = pow(m % self.q, dq, self.q)
         h = (q_inv * (sp - sq)) % self.p

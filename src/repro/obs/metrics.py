@@ -4,8 +4,8 @@ The measurement pipeline's observability layer (ISSUE: the paper's
 nine-week campaign depended on per-day probe/failure/timing numbers).
 Design constraints, in order:
 
-* **Hot-path cheap.**  Instruments sit inside ``aes_for_key`` and the
-  ticket codec, which run millions of times per study.  A counter is a
+* **Hot-path cheap.**  Instruments sit inside the ticket codec and
+  the handshake, which run millions of times per study.  A counter is a
   plain Python object with an integer slot; modules bind the instrument
   once at import time and increment an attribute — no dict lookup, no
   lock (the pipeline is single-threaded per process).
@@ -259,21 +259,17 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
 
 
 def cache_stats(snapshot: dict, name: str) -> Optional[dict]:
-    """Hit/miss/eviction summary for one ``<name>.{hit,miss,...}`` family."""
+    """Hit/miss summary for one ``<name>.{hit,miss}`` counter family."""
     counters = snapshot.get("counters", {})
     hits = counters.get(f"{name}.hit", 0)
     misses = counters.get(f"{name}.miss", 0)
     if hits == 0 and misses == 0:
         return None
-    stats = {
+    return {
         "hits": hits,
         "misses": misses,
         "hit_rate": round(hits / (hits + misses), 4),
     }
-    evictions = counters.get(f"{name}.eviction", 0)
-    if evictions:
-        stats["evictions"] = evictions
-    return stats
 
 
 #: The process-local default registry every instrumented module binds to.
@@ -282,8 +278,8 @@ METRICS = MetricsRegistry()
 
 # -- process-cache coordination ------------------------------------------
 #
-# The crypto layer keeps value-keyed memo caches (AES key schedules,
-# signed-params encodings, certificate signature verdicts).  Their
+# A few modules keep value-keyed memos (the trust store's certificate
+# signature verdicts, each STEK's expanded key schedule).  Their
 # hit/miss counts depend on process history: under workers=1 a shard
 # inherits a warm cache from the previous shard, under workers=N it
 # starts cold.  To make merged cache counters deterministic regardless

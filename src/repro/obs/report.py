@@ -308,13 +308,10 @@ def render_stats_report(manifest: dict, metrics: dict) -> str:
         lines.append("cache effectiveness:")
         width = max(len(name) for name in caches)
         for name, stats in caches.items():
-            line = (
+            lines.append(
                 f"  {name:<{width}}  {stats.get('hit_rate', 0.0) * 100:6.2f}% hits "
-                f"({stats.get('hits', 0):,} hit / {stats.get('misses', 0):,} miss"
+                f"({stats.get('hits', 0):,} hit / {stats.get('misses', 0):,} miss)"
             )
-            if stats.get("evictions"):
-                line += f" / {stats['evictions']:,} evicted"
-            lines.append(line + ")")
 
     lines.extend(_resilience_sections(metrics))
 

@@ -753,14 +753,8 @@ class StudyEngine:
     # -- telemetry ---------------------------------------------------------
 
     #: Cache metric families summarized in the manifest's ``caches``
-    #: section (each contributes ``<name>.{hit,miss[,eviction]}``).
-    CACHE_FAMILIES = (
-        "crypto.aes.key_cache",
-        "crypto.aes.stek_cipher",
-        "crypto.ec.shared_memo",
-        "tls.kex.params_cache",
-        "x509.sig_memo",
-    )
+    #: section (each contributes ``<name>.{hit,miss}``).
+    CACHE_FAMILIES = ("crypto.aes.stek_cipher", "x509.sig_memo")
 
     def merged_metrics(self, results: list[ShardResult]) -> dict:
         """Merge per-shard metric deltas in shard order (deterministic)."""

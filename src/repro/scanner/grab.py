@@ -118,8 +118,6 @@ class ZGrabber:
         self._retries_left = self.retry.retry_budget
         #: Connection attempts (the StudyStats "grabs" counter).
         self.grabs = 0
-        #: Attempts that never reached a completed handshake.
-        self.failures = 0
         #: Retries taken (0 under the default single-attempt policy).
         self.retries = 0
 
@@ -150,7 +148,6 @@ class ZGrabber:
             # Skipped grabs still count as grabs so record/stat parity
             # with the attempted schedule is preserved.
             self.grabs += 1
-            self.failures += 1
             _GRAB_TOTAL.value += 1
             _GRAB_FAILURE["breaker_open"].value += 1
             return None, "", "breaker open"
@@ -213,7 +210,6 @@ class ZGrabber:
                 else self.ecosystem.dns.resolve(domain, self._rng)
             )
         except NXDomainError:
-            self.failures += 1
             _GRAB_FAILURE["nxdomain"].value += 1
             elapsed = time.perf_counter() - started
             _GRAB_SECONDS.observe(elapsed)
@@ -222,7 +218,6 @@ class ZGrabber:
         try:
             server = self.ecosystem.network.connect(address, port, domain=domain)
         except ConnectTimeout as exc:
-            self.failures += 1
             reason = getattr(exc, "reason", "connect_timeout")
             _GRAB_FAILURE[reason].value += 1
             elapsed = time.perf_counter() - started
@@ -256,7 +251,6 @@ class ZGrabber:
             )
         reason = None
         if not result.ok:
-            self.failures += 1
             reason = getattr(server, "injected_fault", None) or "handshake"
             _GRAB_FAILURE[reason].value += 1
         elapsed = time.perf_counter() - started

@@ -19,27 +19,13 @@ if TYPE_CHECKING:
 
 Extension = tuple[int, bytes]
 
-# Hellos in the simulation draw from a handful of fixed extension
-# blocks (client offers per probe profile, server echoes), so encoding
-# memoizes on the extension tuple — extensions are (int, bytes) pairs,
-# hence hashable by value.
-_ENCODE_MEMO: dict[tuple[Extension, ...], bytes] = {}
-_ENCODE_MEMO_MAX = 1024
-
 
 def encode_extensions(extensions: list[Extension]) -> bytes:
     """Serialize an extension list (with its outer 2-byte length)."""
-    key = tuple(extensions)
-    encoded = _ENCODE_MEMO.get(key)
-    if encoded is None:
-        inner = ByteWriter()
-        for ext_type, data in extensions:
-            inner.u16(ext_type).vec16(data)
-        encoded = ByteWriter().vec16(inner.getvalue()).getvalue()
-        if len(_ENCODE_MEMO) >= _ENCODE_MEMO_MAX:
-            _ENCODE_MEMO.clear()
-        _ENCODE_MEMO[key] = encoded
-    return encoded
+    inner = ByteWriter()
+    for ext_type, data in extensions:
+        inner.u16(ext_type).vec16(data)
+    return ByteWriter().vec16(inner.getvalue()).getvalue()
 
 
 def decode_extensions(reader: ByteReader) -> list[Extension]:

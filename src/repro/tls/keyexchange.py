@@ -16,7 +16,6 @@ from typing import Optional, Union
 
 from ..crypto import dh, ec
 from ..crypto.rng import DeterministicRandom
-from ..obs.metrics import METRICS, register_process_cache
 from ..crypto.rsa import RSAPrivateKey, RSAPublicKey
 from .messages import ServerKeyExchangeDHE, ServerKeyExchangeECDHE
 
@@ -136,32 +135,6 @@ def _signed_blob(client_random: bytes, server_random: bytes, params: bytes) -> b
     return client_random + server_random + params
 
 
-# Params encodings keyed by keypair *value*.  The signature itself can
-# never be cached — it covers both per-handshake randoms — but the
-# params half of the signed blob depends only on the ephemeral keypair,
-# so under any reuse policy the encoding is computed once per
-# EphemeralKeyCache epoch and shared by every handshake in it.
-_PARAMS_CACHE: dict[tuple, bytes] = {}
-_PARAMS_CACHE_MAX = 4096
-register_process_cache(_PARAMS_CACHE.clear)
-
-_PARAMS_HIT = METRICS.counter("tls.kex.params_cache.hit")
-_PARAMS_MISS = METRICS.counter("tls.kex.params_cache.miss")
-
-
-def _cached_params(key: tuple, build) -> bytes:
-    params = _PARAMS_CACHE.get(key)
-    if params is None:
-        _PARAMS_MISS.value += 1
-        params = build()
-        if len(_PARAMS_CACHE) >= _PARAMS_CACHE_MAX:
-            _PARAMS_CACHE.clear()
-        _PARAMS_CACHE[key] = params
-    else:
-        _PARAMS_HIT.value += 1
-    return params
-
-
 def build_dhe_kex(
     keypair: dh.DHKeyPair,
     signing_key: RSAPrivateKey,
@@ -169,21 +142,14 @@ def build_dhe_kex(
     server_random: bytes,
 ) -> ServerKeyExchangeDHE:
     """Construct a signed DHE ServerKeyExchange message."""
-    prime, generator = keypair.group.prime, keypair.group.generator
-    params = _cached_params(
-        ("dhe", prime, generator, keypair.public),
-        lambda: ServerKeyExchangeDHE(
-            dh_p=prime, dh_g=generator, dh_public=keypair.public, signature=b""
-        ).params_bytes(),
-    )
-    signature = signing_key.sign(_signed_blob(client_random, server_random, params))
     message = ServerKeyExchangeDHE(
-        dh_p=prime,
-        dh_g=generator,
+        dh_p=keypair.group.prime,
+        dh_g=keypair.group.generator,
         dh_public=keypair.public,
-        signature=signature.to_bytes(signing_key.byte_length, "big"),
+        signature=b"",
     )
-    message._params = params
+    blob = _signed_blob(client_random, server_random, message.params_bytes())
+    message.signature = signing_key.sign(blob).to_bytes(signing_key.byte_length, "big")
     return message
 
 
@@ -194,30 +160,13 @@ def build_ecdhe_kex(
     server_random: bytes,
 ) -> ServerKeyExchangeECDHE:
     """Construct a signed ECDHE ServerKeyExchange message."""
-    curve_id = ec.NAMED_CURVE_IDS[keypair.curve.name]
-    cache_key = ("ecdhe", keypair.curve.name, keypair.public)
-    cached = _PARAMS_CACHE.get(cache_key)
-    if cached is None:
-        point = ec.encode_point(keypair.curve, keypair.public)
-        params = _cached_params(
-            cache_key,
-            ServerKeyExchangeECDHE(
-                named_curve=curve_id, point=point, signature=b""
-            ).params_bytes,
-        )
-    else:
-        _PARAMS_HIT.value += 1
-        params = cached
-        # Recover the point encoding from the cached params rather than
-        # re-encoding: params = curve_type(1) + named_curve(2) + vec8.
-        point = params[4:]
-    signature = signing_key.sign(_signed_blob(client_random, server_random, params))
     message = ServerKeyExchangeECDHE(
-        named_curve=curve_id,
-        point=point,
-        signature=signature.to_bytes(signing_key.byte_length, "big"),
+        named_curve=ec.NAMED_CURVE_IDS[keypair.curve.name],
+        point=ec.encode_point(keypair.curve, keypair.public),
+        signature=b"",
     )
-    message._params = params
+    blob = _signed_blob(client_random, server_random, message.params_bytes())
+    message.signature = signing_key.sign(blob).to_bytes(signing_key.byte_length, "big")
     return message
 
 

@@ -170,11 +170,9 @@ class ServerKeyExchangeDHE:
     dh_g: int
     dh_public: int
     signature: bytes
-    # Memoized params encoding — an ephemeral-reusing server re-sends
-    # identical ServerDHParams for many handshakes, so builders stamp
-    # the cached encoding rather than re-serializing three bignums.
-    # init=False keeps dataclasses.replace() from carrying a stale memo
-    # onto a field-modified copy.
+    # Memoized params encoding: the signature and the serialized body
+    # both cover it.  init=False keeps dataclasses.replace() from
+    # carrying a stale memo onto a field-modified copy.
     _params: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     handshake_type = HandshakeType.SERVER_KEY_EXCHANGE

@@ -85,23 +85,8 @@ _HANDSHAKES = {
 _FAIL_SNI = METRICS.counter("tls.server.handshake_failure", reason="sni")
 _FAIL_NO_CIPHER = METRICS.counter("tls.server.handshake_failure", reason="no_cipher")
 
-# Per-server static flight parts.  ServerHelloDone is always the same
-# four bytes, and the serialized Certificate message depends only on
-# the certificate presented — both are recomputed per full handshake
-# in a naive implementation, which a scan performs millions of times.
+# ServerHelloDone is always the same four bytes.
 _SERVER_HELLO_DONE_BYTES = serialize_handshake(ServerHelloDone())
-_CERT_MSG_CACHE: dict[X509Certificate, bytes] = {}
-_CERT_MSG_CACHE_MAX = 8192
-
-
-def _certificate_message_bytes(certificate: X509Certificate) -> bytes:
-    encoded = _CERT_MSG_CACHE.get(certificate)
-    if encoded is None:
-        encoded = serialize_handshake(Certificate(chain=[certificate.serialize()]))
-        if len(_CERT_MSG_CACHE) >= _CERT_MSG_CACHE_MAX:
-            _CERT_MSG_CACHE.clear()
-        _CERT_MSG_CACHE[certificate] = encoded
-    return encoded
 
 
 @dataclass
@@ -381,7 +366,10 @@ class TLSServer:
                 ))
             verify = finished(conn.transcript + payload)
             return payload + serialize_handshake(Finished(verify_data=verify))
-        parts = [payload, _certificate_message_bytes(conn.certificate)]
+        parts = [
+            payload,
+            serialize_handshake(Certificate(chain=[conn.certificate.serialize()])),
+        ]
         keypair = conn.kex_keypair
         if keypair is not None:
             build = build_dhe_kex if isinstance(keypair, dh.DHKeyPair) else build_ecdhe_kex

@@ -116,12 +116,12 @@ class STEK:
     def cipher(self) -> AES:
         """The expanded AES key schedule for ``aes_key``, built once.
 
-        Keeping the schedule on the STEK ties its lifetime to the key's
-        own: the process-wide ``aes_for_key`` LRU is sized for a handful
-        of hot keys, and a full-ecosystem scan touching one STEK per
-        domain per pass would cycle it (every lookup a miss).  Cached in
-        ``__dict__`` because the dataclass is frozen; this is identity
-        state, not value state, so it stays out of ``==``/``repr``.
+        A STEK seals and opens tickets for its whole rotation period,
+        so keeping the schedule on the STEK ties its lifetime to the
+        key's own and expands it once per key, not once per ticket.
+        Cached in ``__dict__`` because the dataclass is frozen; this is
+        identity state, not value state, so it stays out of
+        ``==``/``repr``.
         """
         cached = self.__dict__.get("_cipher")
         if cached is not None and self.__dict__.get("_cipher_gen") == _CIPHER_GENERATION:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.crypto.aes import AES, BLOCK_SIZE, aes_for_key
-from repro.crypto import aes as aes_module
+from repro.crypto.aes import AES, BLOCK_SIZE
 from repro.crypto.rng import DeterministicRandom
 
 FIPS_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -111,35 +110,3 @@ def test_int_block_api_matches_bytes_api():
             cipher.encrypt_block(block)
         assert cipher.decrypt_int(as_int).to_bytes(BLOCK_SIZE, "big") == \
             cipher.decrypt_block(block)
-
-
-def test_aes_for_key_returns_same_instance():
-    key = bytes(range(16))
-    assert aes_for_key(key) is aes_for_key(key)
-
-
-def test_aes_for_key_distinct_keys_distinct_ciphers():
-    a = aes_for_key(bytes(16))
-    b = aes_for_key(b"\x01" * 16)
-    assert a is not b
-    assert a.encrypt_block(FIPS_PLAINTEXT) != b.encrypt_block(FIPS_PLAINTEXT)
-
-
-def test_aes_for_key_matches_direct_construction():
-    rng = DeterministicRandom(99)
-    for key_len in (16, 24, 32):
-        key = rng.random_bytes(key_len)
-        block = rng.random_bytes(BLOCK_SIZE)
-        assert aes_for_key(key).encrypt_block(block) == AES(key).encrypt_block(block)
-
-
-def test_aes_for_key_cache_eviction_preserves_correctness():
-    rng = DeterministicRandom(7)
-    key = rng.random_bytes(16)
-    block = rng.random_bytes(BLOCK_SIZE)
-    expected = aes_for_key(key).encrypt_block(block)
-    # Flood the LRU past its bound so `key` is evicted, then re-fetch.
-    for i in range(aes_module._INSTANCE_CACHE_MAX + 8):
-        aes_for_key(i.to_bytes(16, "big"))
-    assert len(aes_module._INSTANCE_CACHE) <= aes_module._INSTANCE_CACHE_MAX
-    assert aes_for_key(key).encrypt_block(block) == expected

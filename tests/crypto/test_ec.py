@@ -224,18 +224,6 @@ def test_coordinate_bytes_precomputed():
     assert not ec.TINY.a_is_minus_3
 
 
-def test_shared_secret_memo_consistency():
-    """Memoized shared secrets must equal fresh computations."""
-    rng = DeterministicRandom(9)
-    alice = ec.generate_keypair(ec.SECP128R1, rng)
-    bob = ec.generate_keypair(ec.SECP128R1, rng)
-    first = alice.shared_secret(bob.public)
-    second = alice.shared_secret(bob.public)  # memo hit
-    assert first == second
-    direct = ec.scalar_mult(ec.SECP128R1, alice.private, bob.public)
-    assert first == direct
-
-
 # --- affine fixed-base table and mixed addition ------------------------
 
 def test_fixed_base_exhaustive_on_tiny():

@@ -189,13 +189,20 @@ class TestGrabberRetry:
         _install(ecosystem)
         dark = _first(ecosystem, lambda d: not d.https and d.ips)
         grabber = _grabber(ecosystem, retry=RetryPolicy(breaker_threshold=2))
+        before = METRICS.snapshot()
         assert "connect" in grabber.grab(dark.name).error
         assert "connect" in grabber.grab(dark.name).error
         skipped = grabber.grab(dark.name)
         assert skipped.error == "breaker open"
-        # The skip still counts as a grab (schedule parity).
+        # The skip still counts as a grab (schedule parity) and a failure.
         assert grabber.grabs == 3
-        assert grabber.failures == 3
+        failures = {
+            key: value
+            for key, value in METRICS.snapshot_delta(before)["counters"].items()
+            if key.startswith("scanner.grab.failure")
+        }
+        assert sum(failures.values()) == 3
+        assert failures["scanner.grab.failure{reason=breaker_open}"] == 1
 
     def test_nonretryable_reason_is_not_retried(self, ecosystem):
         _install(ecosystem)

@@ -123,26 +123,16 @@ class TestScaleEquivalence:
     def test_workers_do_not_change_output(self, runs, label):
         assert runs[label]["digest"] == runs["fast"]["digest"]
 
-    #: Counters that measure *work*, not output: the fast path skips
-    #: shared-secret derivation and key-exchange params serialization
-    #: (nothing observable depends on them), so these caches are never
-    #: consulted on the fast path.  Everything else must agree exactly.
-    UNOBSERVABLE_CACHES = ("crypto.ec.shared_memo.", "tls.kex.params_cache.")
-
     def test_merged_metrics_match_oracle(self, runs):
-        # Every observable counter — grabs, failures by reason, retries,
-        # injected faults, breaker transitions, ticket seals, cert
-        # validations — must agree between the fast path and the
+        # Every counter — grabs, failures by reason, retries, injected
+        # faults, breaker transitions, ticket seals, cert validations,
+        # cache hits — must agree between the fast path and the
         # record-layer oracle, not just the dataset bytes.
         counters = {}
         for label in ("fast", "oracle"):
             path = os.path.join(runs[label]["telemetry"], "metrics.json")
             with open(path) as fh:
-                counters[label] = {
-                    key: value
-                    for key, value in json.load(fh)["counters"].items()
-                    if not key.startswith(self.UNOBSERVABLE_CACHES)
-                }
+                counters[label] = json.load(fh)["counters"]
         assert counters["fast"] == counters["oracle"]
 
     def test_chaos_retry_and_breaker_engaged_in_fast_path(self, runs):

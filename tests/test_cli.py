@@ -171,8 +171,7 @@ def test_stats_renders_report(telemetry_run, capsys):
     assert "MiB" in out.split("peak RSS", 1)[1].splitlines()[0]
     assert "per-experiment grabs:" in out
     assert "cache effectiveness:" in out
-    # The scan hot path's crypto cache: the per-STEK key-schedule cache
-    # (the process-wide aes_for_key LRU no longer sees study traffic).
+    # The scan hot path's crypto cache: the per-STEK key-schedule cache.
     assert "crypto.aes.stek_cipher" in out
 
 

@@ -29,8 +29,6 @@ from repro.tls.fastpath import fast_handshake
 from repro.tls.keyexchange import KexReusePolicy, ReuseMode
 from repro.tls.ticket import extract_key_name, sniff_ticket_format
 
-SKIPPED_WORK = ("crypto.ec.shared_memo.", "tls.kex.params_cache.")
-
 OFFERS = {
     "rsa": (TLS_RSA_WITH_AES_128_CBC_SHA,),
     "dhe": (TLS_DHE_RSA_WITH_AES_128_CBC_SHA,),
@@ -99,14 +97,6 @@ def _offers(case, rig):
     return offers
 
 
-def _counters():
-    return {
-        key: value
-        for key, value in METRICS.snapshot()["counters"].items()
-        if not key.startswith(SKIPPED_WORK)
-    }
-
-
 def _measure(case, drive):
     """One connection through ``drive`` on a freshly built, exercised rig."""
     rig = _rig(case)
@@ -115,11 +105,11 @@ def _measure(case, drive):
     if case["fault"] is not None:
         server = ImpairedServer(server, case["fault"])
     server_name = "other.org" if case["strict_sni_miss"] else "example.com"
-    before = _counters()
+    before = METRICS.snapshot()["counters"]
     EVENTS.drain()
     result = drive(rig, server, server_name, offers)
     events = [{k: v for k, v in event.items() if k != "ts"} for event in EVENTS.drain()]
-    after = _counters()
+    after = METRICS.snapshot()["counters"]
     moved = {
         key: value - before.get(key, 0)
         for key, value in after.items()
