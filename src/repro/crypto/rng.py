@@ -40,7 +40,6 @@ class DeterministicRandom:
         self._key = b"\x00" * self._HASH_LEN
         self._value = b"\x01" * self._HASH_LEN
         self._update(seed)
-        self.bytes_generated = 0
 
     def _update(self, provided: bytes | None) -> None:
         self._key = hmac_sha256(self._key, self._value + b"\x00" + (provided or b""))
@@ -77,7 +76,6 @@ class DeterministicRandom:
         # _update(None): re-key, then advance the value chain.
         self._key = key = hmac_sha256(key, value + b"\x00")
         self._value = hmac_sha256(key, value)
-        self.bytes_generated += n
         return out
 
     def random_int(self, bits: int) -> int:

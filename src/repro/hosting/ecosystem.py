@@ -162,7 +162,6 @@ class Ecosystem:
         self._rotations: list[_RotationTask] = []
         self._rotation_order = 0
         self._last_churn_day = 0
-        self.stek_rotations_performed = 0
 
     # -- construction helpers (used by the builder) ----------------------
 
@@ -221,7 +220,6 @@ class Ecosystem:
                 self._rotation_rng, task.due, key_name_length=task.key_name_length
             )
             task.store.rotate(fresh)
-            self.stek_rotations_performed += 1
             task.due += task.interval
             self._rotation_order += 1
             task.order = self._rotation_order
@@ -301,9 +299,9 @@ def _pki_keys(seed: int, bits: int, pool_size: int) -> tuple[rsa.RSAPrivateKey, 
     ``"keys"`` fork of the root generator, which nothing else draws
     from (forking never advances the parent).  Caching them per process
     lets a sharded study rebuild its ecosystem once per shard without
-    paying for the PKI again.  This is deliberately not a registered
-    process cache: clearing it per shard would only add cost, and it
-    keeps no counters, so merged metrics cannot depend on it.
+    paying for the PKI again.  It is shared by every build in the
+    process and keeps no counters, so merged metrics cannot depend on
+    whether a shard found it warm.
     """
     rng = DeterministicRandom(seed).fork("keys")
     return tuple(rsa.generate_keypair(bits, rng) for _ in range(3 + pool_size))

@@ -45,7 +45,7 @@ from ..tls.messages import (
 from ..tls.record import TLSRecord, decrypt_recorded_record, parse_records
 from ..tls.session import SessionCache, SessionState, derive_connection_keys
 from ..tls.ticket import STEK, TicketFormat, open_ticket, sniff_ticket_format
-from ..tls.wire import DecodeError
+from ..wireformat import DecodeError
 
 
 @dataclass

@@ -19,8 +19,8 @@ from ..crypto.rng import DeterministicRandom
 from ..hosting.ecosystem import Ecosystem, GOOGLE_MX_HOST, MAIL_TLS_PORTS
 from ..netsim.clock import HOUR
 from ..tls.ticket import extract_key_name, sniff_ticket_format
-from ..tls.wire import DecodeError
 from ..scanner.grab import ZGrabber
+from ..wireformat import DecodeError
 from .adversary import NationStateAttacker, PassiveCollector
 
 

@@ -108,8 +108,6 @@ class Network:
         self._rng = rng
         self.failure_rate = failure_rate
         self._endpoints: dict[tuple[int, int], Endpoint] = {}
-        self.attempts = 0
-        self.failures = 0
         self._plan = None
         self._clock = clock
 
@@ -138,7 +136,6 @@ class Network:
         ``domain`` is the name being scanned, if any — impairment plans
         use it to scope faults per provider.
         """
-        self.attempts += 1
         plan = self._plan
         now = self._clock.now() if (plan is not None and self._clock is not None) else 0.0
         if plan is not None:
@@ -146,7 +143,6 @@ class Network:
             if fault is not None:
                 kind, delay = fault
                 if kind == "outage":
-                    self.failures += 1
                     _INJECTED_OUTAGE.value += 1
                     raise InjectedOutage(f"injected outage at {ip}:{port}")
                 if kind == "latency":
@@ -155,22 +151,16 @@ class Network:
                         self._clock.advance(delay)
                         now = self._clock.now()
         if self.failure_rate and self._rng.random() < self.failure_rate:
-            self.failures += 1
             raise ConnectTimeout(f"transient failure connecting to {ip}:{port}")
         endpoint = self._endpoints.get((ip.value, port))
         if endpoint is None:
-            self.failures += 1
             raise ConnectTimeout(f"no route to {ip}:{port}")
         live = None
         if plan is not None:
             live = plan.live_backends(now, str(ip), port, len(endpoint.backends))
             if live is not None and len(live) < len(endpoint.backends):
                 _INJECTED_FLAP.value += 1
-        try:
-            server = endpoint.pick_backend(self._rng, live=live)
-        except NoLiveBackend:
-            self.failures += 1
-            raise
+        server = endpoint.pick_backend(self._rng, live=live)
         if plan is not None:
             server = plan.impair_server(server, now, str(ip), port, domain)
         return server

@@ -55,8 +55,6 @@ from .metrics import (
     cache_stats,
     merge_snapshots,
     parse_key,
-    register_process_cache,
-    reset_process_caches,
 )
 from .profiling import PROFILER, Profiler
 from .progress import ProgressTracker, render_progress
@@ -84,8 +82,6 @@ __all__ = [
     "merge_snapshots",
     "cache_stats",
     "parse_key",
-    "register_process_cache",
-    "reset_process_caches",
     "SCHEMA",
     "MANIFEST_NAME",
     "METRICS_NAME",

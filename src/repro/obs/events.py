@@ -62,8 +62,6 @@ class EventLog:
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.enabled = False
         self._buffer: deque = deque(maxlen=capacity)
-        self.dropped = 0
-        self.emitted = 0
 
     def enable(self) -> None:
         self.enabled = True
@@ -77,11 +75,7 @@ class EventLog:
             return
         if level not in LEVELS:
             raise ValueError(f"unknown event level {level!r} (use one of {LEVELS})")
-        record = event_record(event, level, **fields)
-        if len(self._buffer) == self._buffer.maxlen:
-            self.dropped += 1
-        self._buffer.append(record)
-        self.emitted += 1
+        self._buffer.append(event_record(event, level, **fields))
 
     def drain(self) -> list[dict]:
         """Remove and return every buffered event (oldest first)."""

@@ -27,7 +27,7 @@ Tests pin the former and only sanity-check the latter.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 #: Default histogram bucket upper bounds, in seconds (a log-ish ladder
 #: from sub-millisecond grabs up to multi-second shard days).
@@ -276,32 +276,6 @@ def cache_stats(snapshot: dict, name: str) -> Optional[dict]:
 METRICS = MetricsRegistry()
 
 
-# -- process-cache coordination ------------------------------------------
-#
-# A few modules keep value-keyed memos (the trust store's certificate
-# signature verdicts, each STEK's expanded key schedule).  Their
-# hit/miss counts depend on process history: under workers=1 a shard
-# inherits a warm cache from the previous shard, under workers=N it
-# starts cold.  To make merged cache counters deterministic regardless
-# of worker count, the scan engine resets these caches at the start of
-# every shard run — safe because the caches are value-keyed (clearing
-# can never change an output byte, only recompute cost).  Caching
-# modules register their clear functions here at import time.
-
-_CACHE_RESETTERS: list[Callable[[], None]] = []
-
-
-def register_process_cache(reset_fn: Callable[[], None]) -> None:
-    """Register a zero-argument cache-clear callback."""
-    _CACHE_RESETTERS.append(reset_fn)
-
-
-def reset_process_caches() -> None:
-    """Clear every registered value-keyed cache (see note above)."""
-    for reset_fn in _CACHE_RESETTERS:
-        reset_fn()
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -312,6 +286,4 @@ __all__ = [
     "merge_snapshots",
     "cache_stats",
     "parse_key",
-    "register_process_cache",
-    "reset_process_caches",
 ]

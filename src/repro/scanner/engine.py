@@ -49,12 +49,7 @@ from ..hosting.ecosystem import Ecosystem
 from ..netsim.clock import DAY
 from ..obs import manifest as obs_manifest
 from ..obs.events import EVENTS, event_record
-from ..obs.metrics import (
-    METRICS,
-    cache_stats,
-    merge_snapshots,
-    reset_process_caches,
-)
+from ..obs.metrics import METRICS, cache_stats, merge_snapshots
 from ..obs.profiling import (
     PROFILER,
     profile_summary,
@@ -67,6 +62,10 @@ from .datastore import concatenate_channels, open_channel_writers, write_meta
 from .experiments import ExperimentRegistry, StudyContext, default_registry
 from .grab import ZGrabber
 from .records import CHANNELS
+
+#: Every grab attempt, breaker skips included: the shard's per-day and
+#: per-experiment grab counts are deltas of this one counter.
+_GRAB_ATTEMPT = METRICS.counter("scanner.grab.attempt")
 
 
 class StudyAborted(RuntimeError):
@@ -208,12 +207,6 @@ def run_shard(
     """
     registry = registry if registry is not None else default_registry(config)
     shard_count = config.shards
-    # Start every shard from cold value-keyed caches so cache hit/miss
-    # counters are a function of the shard alone, not of which shards
-    # this process happened to run earlier (workers=1 reuses one
-    # process; workers=N does not).  Output-safe: the caches are keyed
-    # by value, so clearing only costs recomputation.
-    reset_process_caches()
     profile_handle = None
     sink = None
     try:
@@ -261,7 +254,7 @@ def run_shard(
         schedules = [(experiment, experiment.schedule(config)) for experiment in registry]
         for day in range(config.days):
             day_started = time.perf_counter()
-            day_grabs_start = grabber.grabs
+            day_grabs_start = _GRAB_ATTEMPT.value
             day_start = day * DAY
             if ecosystem.clock.now() < day_start:
                 with PROFILER.phase("ecosystem.advance"):
@@ -285,10 +278,10 @@ def run_shard(
             for experiment, scheduled_days in schedules:
                 if day not in scheduled_days:
                     continue
-                grabs_before = grabber.grabs
+                grabs_before = _GRAB_ATTEMPT.value
                 with PROFILER.phase(f"experiment.{experiment.name}"):
                     experiment.run_day(ctx, day)
-                day_grabs = grabber.grabs - grabs_before
+                day_grabs = _GRAB_ATTEMPT.value - grabs_before
                 stats.scans_by_experiment[experiment.name] = (
                     stats.scans_by_experiment.get(experiment.name, 0) + day_grabs
                 )
@@ -299,7 +292,7 @@ def run_shard(
             if push is not None:
                 EVENTS.emit(
                     "shard.day", shard=shard_id, day=day, days=config.days,
-                    grabs=grabber.grabs - day_grabs_start,
+                    grabs=_GRAB_ATTEMPT.value - day_grabs_start,
                     seconds=day_seconds[-1],
                 )
                 # Diagnostics-only: the delta feeds the parent's live
@@ -339,7 +332,9 @@ def run_shard(
             d.name for d in ecosystem.always_present_domains(config.days - 1)
         ]
 
-        stats.grabs = grabber.grabs
+        metrics = METRICS.snapshot_delta(metrics_base)
+        counters = metrics["counters"]
+        stats.grabs = counters.get("scanner.grab.attempt", 0)
         stats.records_by_channel = sink.counts()
         pstats_name = stop_shard_profile(profile_handle, profile_dir, shard_id)
         profile: dict = {}
@@ -349,9 +344,10 @@ def run_shard(
             if pstats_name is not None:
                 profile["pstats"] = pstats_name
         if push is not None:
+            retries = sum(value for key, value in counters.items()
+                          if key.startswith("scanner.grab.retry{"))
             EVENTS.emit(
-                "shard.end", shard=shard_id, grabs=stats.grabs,
-                retries=grabber.retries,
+                "shard.end", shard=shard_id, grabs=stats.grabs, retries=retries,
             )
             push(EVENTS.drain(), METRICS.snapshot_delta(push_base))
         return ShardResult(
@@ -360,7 +356,7 @@ def run_shard(
             stream_subdir=stream_dir,
             meta=ctx.meta,
             stats=stats,
-            metrics=METRICS.snapshot_delta(metrics_base),
+            metrics=metrics,
             day_seconds=day_seconds,
             elapsed_seconds=round(time.perf_counter() - shard_started, 6),
             profile=profile,

@@ -43,7 +43,7 @@ from ..tls.constants import KeyExchangeKind
 from ..tls.fastpath import fast_handshake
 from ..tls.session import SessionState
 from ..tls.ticket import Ticket, extract_key_name, sniff_ticket_format
-from ..tls.wire import DecodeError
+from ..wireformat import DecodeError
 from .records import ScanObservation
 
 _KEX_NAMES = {
@@ -116,10 +116,6 @@ class ZGrabber:
             if self.retry.breaker_threshold > 0 else None
         )
         self._retries_left = self.retry.retry_budget
-        #: Connection attempts (the StudyStats "grabs" counter).
-        self.grabs = 0
-        #: Retries taken (0 under the default single-attempt policy).
-        self.retries = 0
 
     # -- low-level ---------------------------------------------------------
 
@@ -147,7 +143,6 @@ class ZGrabber:
         if breaker is not None and not breaker.allow(domain, clock.now()):
             # Skipped grabs still count as grabs so record/stat parity
             # with the attempted schedule is preserved.
-            self.grabs += 1
             _GRAB_TOTAL.value += 1
             _GRAB_FAILURE["breaker_open"].value += 1
             return None, "", "breaker open"
@@ -162,7 +157,6 @@ class ZGrabber:
                 break
             if reason not in RETRYABLE_REASONS or not self._take_retry_token():
                 break
-            self.retries += 1
             _GRAB_RETRY[reason].value += 1
             if EVENTS.enabled:
                 EVENTS.emit(
@@ -201,7 +195,6 @@ class ZGrabber:
         offer_tickets, capture, ip, port,
     ) -> tuple[Optional[HandshakeResult], str, str, Optional[str]]:
         """One attempt: (result, ip, error, failure_reason-or-None)."""
-        self.grabs += 1
         _GRAB_TOTAL.value += 1
         started = time.perf_counter()
         try:

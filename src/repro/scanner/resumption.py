@@ -54,7 +54,12 @@ class _ProbeState:
 
 
 def _attempt_connect(grabber: ZGrabber, state: _ProbeState, config: ProbeConfig):
-    """One resumption attempt with transient-failure retries."""
+    """One connection with transient-failure retries.
+
+    The initial handshake goes through here too: its state still holds
+    no session ID, no ticket and no session, which are ``connect``'s
+    own defaults, so it offers nothing to resume.
+    """
     for _ in range(config.connect_retries):
         result, _, error = grabber.connect(
             state.domain,
@@ -88,7 +93,7 @@ def resumption_probe(
         # Phase 0: the initial full handshake; then one resumption
         # attempt per wake-up until failure or the 24-hour ceiling.
         _run_initial_handshake(grabber, state, config)
-        if not _probe_continues(state, config):
+        if not _probe_continues(state):
             return
         state.started_at = ecosystem.clock.now()
         yield Wait.until(state.started_at + config.first_retry_seconds)
@@ -123,7 +128,7 @@ def resumption_probe(
 
 
 def _run_initial_handshake(grabber: ZGrabber, state: _ProbeState, config: ProbeConfig) -> None:
-    result = _attempt_connect_initial(grabber, state, config)
+    result = _attempt_connect(grabber, state, config)
     if result is None or not result.ok:
         return
     state.result.handshake_ok = True
@@ -138,21 +143,7 @@ def _run_initial_handshake(grabber: ZGrabber, state: _ProbeState, config: ProbeC
             state.result.ticket_hint = result.new_ticket.lifetime_hint_seconds
 
 
-def _attempt_connect_initial(grabber: ZGrabber, state: _ProbeState, config: ProbeConfig):
-    for _ in range(config.connect_retries):
-        result, _, error = grabber.connect(
-            state.domain,
-            offer=config.offer,
-            offer_tickets=config.mechanism == "ticket",
-        )
-        if result is not None:
-            return result
-        if error == "nxdomain":
-            return None
-    return None
-
-
-def _probe_continues(state: _ProbeState, config: ProbeConfig) -> bool:
+def _probe_continues(state: _ProbeState) -> bool:
     return state.result.handshake_ok and state.result.issued
 
 

@@ -34,6 +34,7 @@ from ..crypto.mac import sha256, constant_time_equal
 from ..crypto.prf import derive_master_secret, verify_data
 from ..crypto.rng import DeterministicRandom
 from ..obs.metrics import METRICS
+from ..wireformat import DecodeError
 from ..x509 import TrustStore, X509Certificate
 from .ciphers import CipherSuite, KeyExchangeKind, MODERN_BROWSER_OFFER
 from .constants import ExtensionType, ProtocolVersion
@@ -62,7 +63,6 @@ from .messages import (
 from .record import RecordCipher, handshake_record, new_record_cipher, parse_records, serialize_records
 from .session import SessionState, derive_connection_keys
 from .ticket import Ticket
-from .wire import DecodeError
 
 ServerKeyExchange = Union[ServerKeyExchangeDHE, ServerKeyExchangeECDHE]
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from ..wireformat import ByteReader, ByteWriter, DecodeError
 from .constants import ExtensionType
-from .wire import ByteReader, ByteWriter, DecodeError
 
 if TYPE_CHECKING:
     from .ticket import Ticket

@@ -73,7 +73,6 @@ class EphemeralKeyCache:
         self._dh_generated_at: float = float("-inf")
         self._cached_ec: Optional[ec.ECKeyPair] = None
         self._ec_generated_at: float = float("-inf")
-        self.generations = 0
 
     @property
     def policy(self) -> KexReusePolicy:
@@ -98,7 +97,6 @@ class EphemeralKeyCache:
         ):
             self._cached_dh = dh.generate_keypair(group, rng)
             self._dh_generated_at = now
-            self.generations += 1
         return self._cached_dh
 
     def get_ec(self, curve: ec.Curve, rng: DeterministicRandom, now: float) -> ec.ECKeyPair:
@@ -109,7 +107,6 @@ class EphemeralKeyCache:
         ):
             self._cached_ec = ec.generate_keypair(curve, rng)
             self._ec_generated_at = now
-            self.generations += 1
         return self._cached_ec
 
     def restart(self) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
+from ..wireformat import ByteReader, ByteWriter, DecodeError
 from .constants import (
     HandshakeType,
     ProtocolVersion,
@@ -20,7 +21,6 @@ from .constants import (
 )
 from .ciphers import CipherSuite, SUITES_BY_CODE
 from .extensions import Extension, decode_extensions, encode_extensions
-from .wire import ByteReader, ByteWriter, DecodeError
 
 if TYPE_CHECKING:
     from .ticket import Ticket

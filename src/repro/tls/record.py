@@ -24,10 +24,10 @@ from typing import Optional
 
 from ..crypto.mac import hmac_sha256, constant_time_equal
 from ..crypto.modes import PaddingError, cbc_decrypt, cbc_encrypt, ctr_xor
+from ..wireformat import ByteReader, ByteWriter, DecodeError
 from .ciphers import CipherSuite
 from .constants import ContentType, ProtocolVersion
 from .session import ConnectionKeys
-from .wire import ByteReader, ByteWriter, DecodeError
 
 MAX_FRAGMENT_LENGTH = 1 << 14
 

@@ -38,6 +38,7 @@ from ..crypto.prf import derive_master_secret, verify_data
 from ..crypto.rng import DeterministicRandom
 from ..crypto.rsa import RSAPrivateKey
 from ..obs.metrics import METRICS
+from ..wireformat import DecodeError
 from ..x509 import X509Certificate
 from .ciphers import CipherSuite, KeyExchangeKind, select_suite
 from .constants import (
@@ -69,7 +70,6 @@ from .messages import (
 from .record import RecordCipher, handshake_record, new_record_cipher, parse_records, serialize_records
 from .session import SessionCache, SessionState, derive_connection_keys
 from .ticket import SealedTicket, STEKStore, Ticket, TicketFormat
-from .wire import DecodeError
 
 # Prebound instruments: negotiate/establish run once per handshake on
 # every driver, so the label lookups happen once at import.
@@ -203,10 +203,6 @@ class TLSServer:
         self.kex_cache = kex_cache or EphemeralKeyCache(
             config.kex_policy, config.kex_policy_ec
         )
-        # Counters used by tests and the hosting layer.
-        self.full_handshakes = 0
-        self.resumptions = 0
-        self.failed_handshakes = 0
 
     # -- lifecycle -----------------------------------------------------
 
@@ -247,13 +243,11 @@ class TLSServer:
         now = self._now()
         certificate, private_key = config.certificate_for(sni)
         if config.strict_sni and sni and not certificate.matches_hostname(sni):
-            self.failed_handshakes += 1
             _FAIL_SNI.value += 1
             raise HandshakeFailure(f"unrecognized server name {sni!r}",
                                    AlertDescription.UNRECOGNIZED_NAME)
         suite = select_suite(suites, config.supported_suites, config.server_cipher_preference)
         if suite is None:
-            self.failed_handshakes += 1
             _FAIL_NO_CIPHER.value += 1
             raise HandshakeFailure("no mutually supported cipher suite")
 
@@ -316,9 +310,7 @@ class TLSServer:
         unused).  Either way the handshake is counted.
         """
         resumed = conn.resumed
-        if resumed:
-            self.resumptions += 1
-        else:
+        if not resumed:
             now = self._now()
             session = conn.session = SessionState(
                 master_secret=master_secret,
@@ -331,7 +323,6 @@ class TLSServer:
                 self.config.session_cache.store(conn.session_id, session, now)
             if conn.issue_ticket:
                 conn.ticket = self.config.stek_store.issue(session, self._rng, now=now)
-            self.full_handshakes += 1
         _HANDSHAKES[resumed, conn.cipher_suite.kex].value += 1
         conn.completed = True
 
@@ -489,7 +480,6 @@ class TLSServer:
     def _verify_client_finished(self, message: Finished, master: bytes, transcript: bytes) -> None:
         expected = verify_data(master, b"client finished", sha256(transcript))
         if not constant_time_equal(message.verify_data, expected):
-            self.failed_handshakes += 1
             METRICS.counter(
                 "tls.server.handshake_failure", reason="finished_verify"
             ).inc()

@@ -105,8 +105,6 @@ class SessionCache:
         self.lifetime_seconds = lifetime_seconds
         self.capacity = capacity
         self._entries: dict[bytes, tuple[SessionState, float]] = {}
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -122,14 +120,11 @@ class SessionCache:
         """Return the session if present and unexpired, else None."""
         entry = self._entries.get(session_id)
         if entry is None:
-            self.misses += 1
             return None
         session, stored_at = entry
         if now - stored_at > self.lifetime_seconds:
             del self._entries[session_id]
-            self.misses += 1
             return None
-        self.hits += 1
         return session
 
     def expire(self, now: float) -> int:

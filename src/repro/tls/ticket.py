@@ -39,11 +39,11 @@ from ..crypto.aes import AES
 from ..crypto.mac import constant_time_equal, hmac_sha256
 from ..crypto.modes import PaddingError, cbc_decrypt_with, cbc_encrypt_with
 from ..crypto.rng import DeterministicRandom
-from ..obs.metrics import METRICS, register_process_cache
+from ..obs.metrics import METRICS
+from ..wireformat import ByteReader, DecodeError
 from .ciphers import SUITES_BY_CODE
 from .constants import ProtocolVersion
 from .session import SessionState
-from .wire import ByteReader, DecodeError
 
 
 class TicketFormat(Enum):
@@ -74,21 +74,11 @@ _OPEN_REJECT = METRICS.counter("tls.ticket.open_reject")
 
 # The per-STEK key-schedule cache (see ``STEK.cipher``): a hit reuses
 # the expanded schedule, a miss pays the one-time AES key expansion.
-# The cache lives on STEK objects, so the per-shard cold-cache reset
-# (``reset_process_caches``) can't clear it by reference; a generation
-# stamp invalidates every cached schedule instead, keeping the counters
-# a function of the shard alone (workers=1 reuses one process).
+# The schedule lives on its STEK, and every ecosystem build makes its
+# own STEKs, so each shard starts with cold schedules and the counts
+# are a function of the shard alone, whichever process runs it.
 _CIPHER_HIT = METRICS.counter("crypto.aes.stek_cipher.hit")
 _CIPHER_MISS = METRICS.counter("crypto.aes.stek_cipher.miss")
-_CIPHER_GENERATION = 0
-
-
-def _bump_cipher_generation() -> None:
-    global _CIPHER_GENERATION
-    _CIPHER_GENERATION += 1
-
-
-register_process_cache(_bump_cipher_generation)
 
 
 @dataclass(frozen=True)
@@ -124,13 +114,11 @@ class STEK:
         ``==``/``repr``.
         """
         cached = self.__dict__.get("_cipher")
-        if cached is not None and self.__dict__.get("_cipher_gen") == _CIPHER_GENERATION:
+        if cached is not None:
             _CIPHER_HIT.inc()
             return cached
         _CIPHER_MISS.inc()
-        cached = AES(self.aes_key)
-        self.__dict__["_cipher"] = cached
-        self.__dict__["_cipher_gen"] = _CIPHER_GENERATION
+        cached = self.__dict__["_cipher"] = AES(self.aes_key)
         return cached
 
 
@@ -209,9 +197,8 @@ class SealedTicket:
     and the total length.  The state is held as its encoded plaintext,
     an immutable snapshot, together with the STEK's expanded cipher and
     HMAC key, so ``bytes(ticket)`` is the same whenever it is first
-    called: after a STEK rotation, after a process-cache reset, or
-    never.  The sealed bytes are memoized; equality and hashing are
-    those of the bytes.
+    called: after a STEK rotation, or never.  The sealed bytes are
+    memoized; equality and hashing are those of the bytes.
     """
 
     __slots__ = (
@@ -421,8 +408,6 @@ class STEKStore:
         self.retain = retain
         self._current = initial
         self._previous: list[STEK] = []
-        self.issued_count = 0
-        self.opened_count = 0
 
     @property
     def current(self) -> STEK:
@@ -443,7 +428,6 @@ class STEKStore:
         self, session: SessionState, rng: DeterministicRandom, now: float | None = None
     ) -> SealedTicket:
         """Issue a ticket under the current issuing key (sealed on first use)."""
-        self.issued_count += 1
         return issue_ticket(self._current, session, rng, self.ticket_format, issued_at=now)
 
     def open(self, ticket: Ticket) -> Optional[TicketContents]:
@@ -451,7 +435,6 @@ class STEKStore:
         for stek in self.all_keys:
             contents = open_ticket(stek, ticket, self.ticket_format)
             if contents is not None:
-                self.opened_count += 1
                 return contents
         return None
 

@@ -192,11 +192,9 @@ class PskIssuer:
         self.max_age_seconds = max_age_seconds
         self.encryption_key = rng.random_bytes(32)
         self._database: dict[bytes, Psk] = {}
-        self.issued = 0
 
     def issue(self, resumption_secret: bytes, now: float, domain: str = "") -> Psk:
         """Issue a PSK for a completed connection's resumption secret."""
-        self.issued += 1
         if self.database_mode:
             identity = self._rng.random_bytes(16)
             psk = Psk(identity=identity, secret=resumption_secret,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from ..crypto.mac import sha256
 from ..crypto.rsa import RSAPrivateKey, RSAPublicKey
-from ..obs.metrics import METRICS, register_process_cache
+from ..obs.metrics import METRICS
 from ..wireformat import ByteReader, ByteWriter, DecodeError
 
 _MAGIC = b"RCRT"
@@ -151,11 +151,11 @@ class X509Certificate:
 # An ecosystem build signs the same certificates every time it runs with
 # the same config, and a sharded study builds once per shard in one
 # process.  The signature is a pure function of (issuer key, TBS bytes),
-# so the memo cannot change a byte.  It is not a registered process
-# cache (the per-shard reset would defeat it) and keeps no counters, so
-# merged metrics cannot depend on it.  The bound covers one build of a
-# ~10k-domain ecosystem (about 1.2 certificates per domain) while
-# capping resident memory at a few MiB of TBS bytes for larger ones.
+# so the memo cannot change a byte.  It is shared by every build in the
+# process and keeps no counters, so merged metrics cannot depend on it.
+# The bound covers one build of a ~10k-domain ecosystem (about 1.2
+# certificates per domain) while capping resident memory at a few MiB
+# of TBS bytes for larger ones.
 @lru_cache(maxsize=16384)
 def _signature(private_key: RSAPrivateKey, tbs: bytes) -> int:
     return private_key.sign(tbs)
@@ -212,14 +212,16 @@ class ValidationResult:
 class TrustStore:
     """An NSS-like root store: trusted CA names and their public keys."""
 
-    # Signature checks memoized across all stores: an RSA verify is a
+    # Each store memoizes its signature checks: an RSA verify is a
     # modular exponentiation, and a scanner validates the *same* leaf
     # certificate against the same root on every full handshake with a
     # domain.  Keyed by (root key, certificate) value — both frozen
     # dataclasses — so a different root or a tampered certificate can
     # never alias a cached verdict.  Validity-window and hostname
-    # checks stay uncached (they depend on per-call time/name).
-    _SIG_MEMO: dict[tuple, bool] = {}
+    # checks stay uncached (they depend on per-call time/name).  The
+    # memo lives and dies with its store, and every ecosystem build
+    # makes its own store, so the hit/miss counts of a shard depend on
+    # that shard alone, whichever process runs it.
     _SIG_MEMO_MAX = 65536
 
     _MEMO_HIT = METRICS.counter("x509.sig_memo.hit")
@@ -227,6 +229,7 @@ class TrustStore:
 
     def __init__(self) -> None:
         self._roots: dict[str, RSAPublicKey] = {}
+        self._sig_memo: dict[tuple, bool] = {}
 
     def add_root(self, name: str, public_key: RSAPublicKey) -> None:
         self._roots[name] = public_key
@@ -248,13 +251,13 @@ class TrustStore:
         if root is None:
             return ValidationResult(False, f"untrusted issuer {certificate.issuer!r}")
         memo_key = (root, certificate)
-        signature_ok = self._SIG_MEMO.get(memo_key)
+        signature_ok = self._sig_memo.get(memo_key)
         if signature_ok is None:
             self._MEMO_MISS.value += 1
             signature_ok = root.verify(certificate.data.tbs_bytes(), certificate.signature)
-            if len(self._SIG_MEMO) >= self._SIG_MEMO_MAX:
-                self._SIG_MEMO.clear()
-            self._SIG_MEMO[memo_key] = signature_ok
+            if len(self._sig_memo) >= self._SIG_MEMO_MAX:
+                self._sig_memo.clear()
+            self._sig_memo[memo_key] = signature_ok
         else:
             self._MEMO_HIT.value += 1
         if not signature_ok:
@@ -264,9 +267,6 @@ class TrustStore:
         if hostname is not None and not certificate.matches_hostname(hostname):
             return ValidationResult(False, f"hostname {hostname!r} not in subject names")
         return ValidationResult(True)
-
-
-register_process_cache(TrustStore._SIG_MEMO.clear)
 
 
 __all__ = [

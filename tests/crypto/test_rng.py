@@ -161,13 +161,6 @@ def test_byte_distribution_is_roughly_uniform():
     assert all(0.8 * mean < c < 1.2 * mean for c in counts)
 
 
-def test_bytes_generated_counter():
-    rng = DeterministicRandom(1)
-    rng.random_bytes(10)
-    rng.random_bytes(20)
-    assert rng.bytes_generated == 30
-
-
 # --- an independent, spec-level HMAC-DRBG --------------------------------
 
 

@@ -85,6 +85,15 @@ def _failure_count(reason):
     return METRICS.counter("scanner.grab.failure", reason=reason).value
 
 
+def _counted_since(before, family):
+    """The growth of every ``family`` counter since snapshot ``before``."""
+    return {
+        key: value
+        for key, value in METRICS.snapshot_delta(before)["counters"].items()
+        if key == family or key.startswith(family + "{")
+    }
+
+
 class TestInstalledChaos:
     def test_outage_window_classified_as_outage(self, ecosystem):
         _install(ecosystem, ImpairmentWindow(kind="outage", rate=1.0, **ALWAYS))
@@ -169,9 +178,13 @@ class TestGrabberRetry:
         dark = _first(ecosystem, lambda d: not d.https and d.ips)
         grabber = _grabber(ecosystem, retry=RetryPolicy(max_attempts=3))
         started = ecosystem.clock.now()
+        before = METRICS.snapshot()
         observation = grabber.grab(dark.name)
         assert not observation.success
-        assert grabber.retries == 2
+        assert sum(_counted_since(before, "scanner.grab.retry").values()) == 2
+        assert _counted_since(before, "scanner.grab.attempt") == {
+            "scanner.grab.attempt": 3
+        }
         # Capped exponential on the *virtual* clock: 2s then 4s.
         assert ecosystem.clock.now() == pytest.approx(started + 6.0)
 
@@ -181,9 +194,10 @@ class TestGrabberRetry:
         grabber = _grabber(
             ecosystem, retry=RetryPolicy(max_attempts=3, retry_budget=1)
         )
+        before = METRICS.snapshot()
         grabber.grab(dark.name)
         grabber.grab(dark.name)
-        assert grabber.retries == 1
+        assert sum(_counted_since(before, "scanner.grab.retry").values()) == 1
 
     def test_breaker_opens_and_skips(self, ecosystem):
         _install(ecosystem)
@@ -195,18 +209,20 @@ class TestGrabberRetry:
         skipped = grabber.grab(dark.name)
         assert skipped.error == "breaker open"
         # The skip still counts as a grab (schedule parity) and a failure.
-        assert grabber.grabs == 3
-        failures = {
-            key: value
-            for key, value in METRICS.snapshot_delta(before)["counters"].items()
-            if key.startswith("scanner.grab.failure")
+        assert _counted_since(before, "scanner.grab.attempt") == {
+            "scanner.grab.attempt": 3
         }
+        failures = _counted_since(before, "scanner.grab.failure")
         assert sum(failures.values()) == 3
         assert failures["scanner.grab.failure{reason=breaker_open}"] == 1
 
     def test_nonretryable_reason_is_not_retried(self, ecosystem):
         _install(ecosystem)
         grabber = _grabber(ecosystem, retry=RetryPolicy(max_attempts=4))
+        before = METRICS.snapshot()
         observation = grabber.grab("no-such-name.invalid")
         assert observation.error == "nxdomain"
-        assert grabber.retries == 0
+        assert _counted_since(before, "scanner.grab.retry") == {}
+        assert _counted_since(before, "scanner.grab.attempt") == {
+            "scanner.grab.attempt": 1
+        }

@@ -10,7 +10,7 @@ from typing import Optional
 
 from repro.crypto import dh, ec, rsa
 from repro.crypto.rng import DeterministicRandom
-from repro.obs.metrics import parse_key
+from repro.obs.metrics import METRICS, parse_key
 from repro.obs.report import _prom_name
 from repro.tls.ciphers import MODERN_BROWSER_OFFER
 from repro.tls.client import TLSClient
@@ -108,6 +108,17 @@ def make_rig(
         stek_store=stek_store,
         session_cache=cache,
     )
+
+
+def server_handshakes(before: dict) -> dict[str, int]:
+    """Completed server handshakes since the METRICS snapshot ``before``,
+    by kind (``full``/``abbreviated``), summed over key exchanges."""
+    kinds = {"full": 0, "abbreviated": 0}
+    for key, value in METRICS.snapshot_delta(before)["counters"].items():
+        name, labels = parse_key(key)
+        if name == "tls.server.handshake":
+            kinds[labels["kind"]] += value
+    return kinds
 
 
 def canon(obj):

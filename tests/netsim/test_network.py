@@ -12,6 +12,7 @@ from repro.netsim.network import (
     Network,
     NoLiveBackend,
 )
+from repro.obs.metrics import METRICS
 
 IP = IPv4Address.parse("10.0.0.1")
 OTHER = IPv4Address.parse("10.0.0.2")
@@ -29,16 +30,16 @@ def test_register_and_connect():
     network = make_network()
     backend = server()
     network.register(Endpoint(ip=IP, backends=[backend]))
+    before = METRICS.snapshot()
     assert network.connect(IP) is backend
-    assert network.attempts == 1
-    assert network.failures == 0
+    # A clean connect injects and counts nothing.
+    assert METRICS.snapshot_delta(before)["counters"] == {}
 
 
 def test_connect_unroutable():
     network = make_network()
-    with pytest.raises(ConnectTimeout):
+    with pytest.raises(ConnectTimeout, match="no route"):
         network.connect(OTHER)
-    assert network.failures == 1
 
 
 def test_duplicate_endpoint_rejected():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.rng import DeterministicRandom
+from repro.obs.metrics import METRICS
 from repro.scanner import CrossDomainConfig, ProbeTarget, ZGrabber, cross_domain_cache_probe
 
 
@@ -76,12 +77,13 @@ def test_distinct_cache_groups_never_link(ecosystem, grabber):
 def test_fanout_limits_respected(ecosystem, grabber):
     cloudflare = [d for d in ecosystem.domains if d.provider == "cloudflare"][:20]
     config = CrossDomainConfig(max_same_as=2, max_same_ip=2)
-    before = grabber.grabs
+    attempts = METRICS.counter("scanner.grab.attempt")
+    before = attempts.value
     cross_domain_cache_probe(
         grabber, targets_for(ecosystem, cloudflare), DeterministicRandom(4), config
     )
     # Each origin costs 1 handshake + at most 4 peer probes.
-    assert grabber.grabs - before <= len(cloudflare) * 5
+    assert attempts.value - before <= len(cloudflare) * 5
 
 
 def test_edge_annotations(ecosystem, grabber):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.rng import DeterministicRandom
+from repro.obs.metrics import METRICS
 from repro.scanner import ZGrabber
 from repro.tls.ciphers import DHE_ONLY_OFFER
 
@@ -107,9 +108,10 @@ def test_grab_dhe_only_against_non_dhe_server(grabber):
 
 
 def test_grab_counts(grabber):
-    before = grabber.grabs
+    attempts = METRICS.counter("scanner.grab.attempt")
+    before = attempts.value
     grabber.grab("no-such-name.invalid")
-    assert grabber.grabs == before + 1
+    assert attempts.value == before + 1
 
 
 def test_day_and_timestamp_recorded(grabber):

@@ -5,6 +5,7 @@ import pytest
 from repro.crypto.rng import DeterministicRandom
 from repro.faults.retry import RetryPolicy
 from repro.netsim.clock import HOUR
+from repro.obs.metrics import METRICS
 from repro.scanner import SweepConfig, ZGrabber, sweep, thirty_minute_scan
 
 #: Small enough that the larger sweeps below span several flush batches.
@@ -103,13 +104,16 @@ def test_retry_backoff_past_the_next_tick_delays_it(small_ecosystem_factory):
 
     grabber.grab = grab_and_note_end
     batches = []
+    before = METRICS.snapshot()
     sweep(grabber, domains, SweepConfig(window_seconds=len(domains)),
           concurrency=3, sink=batches.append)
+    counters = METRICS.snapshot_delta(before)["counters"]
 
     observations = [o for batch in batches for o in batch]
     assert [len(batch) for batch in batches] == [3, 3, 3, 1]
     assert [(o.rank, o.domain) for o in observations] == domains
-    assert grabber.retries == 2
+    assert sum(value for key, value in counters.items()
+               if key.startswith("scanner.grab.retry{")) == 2
     starts = [o.timestamp - start for o in observations]
     assert starts[:2] == [0.0, 6.0]
     assert starts == [max(float(tick), ends[tick - 1] if tick else 0.0)

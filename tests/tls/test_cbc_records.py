@@ -16,7 +16,7 @@ from repro.tls.record import (
     new_record_cipher,
 )
 from repro.tls.session import SessionState, derive_connection_keys
-from repro.tls.wire import DecodeError
+from repro.wireformat import DecodeError
 
 
 def make_keys(seed=5, suite=TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA):

@@ -17,7 +17,7 @@ from repro.tls.extensions import (
     find_extension,
     has_extension,
 )
-from repro.tls.wire import ByteReader, DecodeError
+from repro.wireformat import ByteReader, DecodeError
 
 
 def test_extension_list_roundtrip():
@@ -61,7 +61,7 @@ def test_server_name_roundtrip():
 
 def test_server_name_bad_type_rejected():
     # name_type 1 instead of 0
-    from repro.tls.wire import ByteWriter
+    from repro.wireformat import ByteWriter
 
     entry = ByteWriter().u8(1).vec16(b"x.com").getvalue()
     body = ByteWriter().vec16(entry).getvalue()
@@ -83,7 +83,7 @@ def test_supported_groups_roundtrip():
 
 
 def test_supported_groups_odd_length_rejected():
-    from repro.tls.wire import ByteWriter
+    from repro.wireformat import ByteWriter
 
     body = ByteWriter().vec16(b"\x00\x17\x00").getvalue()
     with pytest.raises(DecodeError):

@@ -23,7 +23,7 @@ from repro.tls.ticket import (
     sniff_ticket_format,
     sniff_ticket_head,
 )
-from repro.tls.wire import DecodeError
+from repro.wireformat import DecodeError
 from repro.crypto.rng import DeterministicRandom
 from repro.x509 import X509Certificate
 

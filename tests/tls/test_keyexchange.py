@@ -25,12 +25,20 @@ def test_policy_validation():
     KexReusePolicy(ReuseMode.FRESH)  # lifetime ignored
 
 
-def test_fresh_mode_regenerates_every_call():
+def test_fresh_mode_regenerates_every_call(monkeypatch):
+    generated = []
+    real = ec.generate_keypair
+
+    def counting(curve, rng):
+        generated.append(curve)
+        return real(curve, rng)
+
+    monkeypatch.setattr(ec, "generate_keypair", counting)
     cache = EphemeralKeyCache(KexReusePolicy(ReuseMode.FRESH))
     a = cache.get_ec(ec.SECP128R1, RNG, now=0.0)
     b = cache.get_ec(ec.SECP128R1, RNG, now=0.0)
     assert a.public != b.public
-    assert cache.generations == 2
+    assert generated == [ec.SECP128R1, ec.SECP128R1]
 
 
 def test_timed_mode_reuses_within_lifetime():

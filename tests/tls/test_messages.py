@@ -22,7 +22,7 @@ from repro.tls.messages import (
     parse_handshake,
     serialize_handshake,
 )
-from repro.tls.wire import DecodeError
+from repro.wireformat import DecodeError
 
 RNG = DeterministicRandom(55)
 RANDOM = RNG.random_bytes(32)

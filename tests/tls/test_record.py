@@ -14,7 +14,7 @@ from repro.tls.record import (
     serialize_records,
 )
 from repro.tls.session import SessionState, derive_connection_keys
-from repro.tls.wire import DecodeError
+from repro.wireformat import DecodeError
 
 
 def make_keys(seed=5):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from helpers import make_rig
+from helpers import make_rig, server_handshakes
 
+from repro.obs.metrics import METRICS
 from repro.tls.server import TicketPolicy
 from repro.tls.ticket import TicketFormat, generate_stek
 
@@ -18,6 +19,7 @@ def full_handshake(rig, **kwargs):
 
 def test_session_id_resumption():
     rig = make_rig(cache_lifetime=300.0)
+    before = METRICS.snapshot()
     first = full_handshake(rig, offer_tickets=False)
     rig.clock.advance(10)
     second = rig.client.connect(
@@ -28,7 +30,7 @@ def test_session_id_resumption():
     assert second.ok and second.resumed
     assert second.resumed_via == "session_id"
     assert second.session_id == first.session_id
-    assert rig.server.resumptions == 1
+    assert server_handshakes(before) == {"full": 1, "abbreviated": 1}
 
 
 def test_session_id_expired_falls_back_to_full():
@@ -106,6 +108,7 @@ def test_forged_session_id_cannot_hijack():
 
 def test_ticket_resumption():
     rig = make_rig(ticket_window=300.0)
+    before = METRICS.snapshot()
     first = full_handshake(rig)
     rig.clock.advance(10)
     second = rig.client.connect(
@@ -114,7 +117,7 @@ def test_ticket_resumption():
     )
     assert second.ok and second.resumed
     assert second.resumed_via == "ticket"
-    assert rig.server.resumptions == 1
+    assert server_handshakes(before) == {"full": 1, "abbreviated": 1}
 
 
 def test_ticket_reissued_on_resumption():

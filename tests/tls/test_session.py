@@ -62,14 +62,15 @@ def test_cache_store_lookup():
     session = make_session()
     cache.store(b"id-1", session, now=0.0)
     assert cache.lookup(b"id-1", now=50.0) is session
-    assert cache.hits == 1
+    # A hit keeps the entry.
+    assert len(cache) == 1
+    assert cache.lookup(b"id-1", now=60.0) is session
 
 
 def test_cache_expiry():
     cache = SessionCache(lifetime_seconds=100)
     cache.store(b"id-1", make_session(), now=0.0)
     assert cache.lookup(b"id-1", now=101.0) is None
-    assert cache.misses == 1
     # Expired entries are dropped on access.
     assert len(cache) == 0
 
@@ -83,7 +84,6 @@ def test_cache_exact_boundary_still_valid():
 def test_cache_unknown_id_misses():
     cache = SessionCache(lifetime_seconds=100)
     assert cache.lookup(b"nope", now=0.0) is None
-    assert cache.misses == 1
 
 
 def test_cache_capacity_eviction_oldest_first():

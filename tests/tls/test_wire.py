@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tls.wire import ByteReader, ByteWriter, DecodeError
+from repro.wireformat import ByteReader, ByteWriter, DecodeError
 
 
 def test_integer_widths():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto import rsa
 from repro.crypto.rng import DeterministicRandom
+from repro.obs.metrics import METRICS
 from repro.x509 import CertificateAuthority, TrustStore, X509Certificate
 from repro.x509.certificate import _signature
 
@@ -162,3 +163,20 @@ def test_signature_memo_misses_on_a_new_serial_or_key():
     assert other_key.data.tbs_bytes() == base.data.tbs_bytes()
     assert other_key.signature == OTHER_CA.private_key.sign(base.data.tbs_bytes())
     assert other_key.signature != base.signature
+
+
+def test_each_store_memoizes_its_own_signature_checks():
+    cert = issue(("own-memo.example",))
+    first, second = make_store(CA), make_store(CA)
+    memo = (METRICS.counter("x509.sig_memo.hit"), METRICS.counter("x509.sig_memo.miss"))
+
+    def validate(store):
+        before = [counter.value for counter in memo]
+        assert store.validate(cert, "own-memo.example", now=100.0)
+        return tuple(counter.value - start for counter, start in zip(memo, before))
+
+    assert validate(first) == (0, 1)
+    assert validate(first) == (1, 0)
+    # Same root, same certificate: a new store still verifies once.
+    assert validate(second) == (0, 1)
+    assert validate(second) == (1, 0)
